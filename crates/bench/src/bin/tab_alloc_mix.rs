@@ -64,7 +64,7 @@ fn main() {
         ("all contexts to GC", false),
     ] {
         let mut cfg = MachineConfig {
-            gc_interval: Some(20_000),
+            gc_full_interval: Some(20_000),
             ..MachineConfig::default()
         };
         if !eager {

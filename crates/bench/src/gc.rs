@@ -7,7 +7,7 @@
 //! size. Two machines run it at the same collection cadence:
 //!
 //! * **full** — every periodic collection is a full mark-sweep
-//!   (`gc_interval = P`): each collection re-scans the whole live heap.
+//!   (`gc_full_interval = P`): each collection re-scans the whole live heap.
 //! * **generational** — minor collections at the same cadence with an
 //!   occasional full (`gc_minor_interval = P`, `gc_full_interval = 8P`):
 //!   minor marks traverse only roots + pinned residents + remembered set
@@ -109,7 +109,7 @@ pub fn churn_at(size: i64) -> Workload {
 
 fn full_config() -> MachineConfig {
     MachineConfig {
-        gc_interval: Some(MINOR_INTERVAL),
+        gc_full_interval: Some(MINOR_INTERVAL),
         ..MachineConfig::default()
     }
 }

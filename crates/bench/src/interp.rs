@@ -5,15 +5,18 @@
 //! simulated instructions per second, per workload, for both interpreter
 //! loops:
 //!
-//! * **baseline** — the pre-overhaul interpreter: the single-step
-//!   reference loop ([`com_core::Machine::run_stepwise`]) dispatching
-//!   through the legacy map-backed ITLB storage.
-//! * **threaded** — the overhauled hot loop ([`com_core::Machine::run`])
-//!   dispatching through the direct-mapped ITLB probe array.
+//! * **baseline** — the single-step reference loop
+//!   ([`com_core::Machine::run_stepwise`]), one `step()` per instruction.
+//! * **threaded** — the hot loop ([`com_core::Machine::run`]).
 //!
-//! Architectural results are asserted equal between the two on every
-//! workload; the *simulated* cycle counts are semantics and do not change
-//! with interpreter speed (see `com_core::machine` module docs).
+//! Both run `MachineConfig::default()`, so they share every simulated
+//! structure (ITLB probe array, icache, ATLB, context cache); the
+//! speedup isolates the loop itself. Full `CycleStats` are asserted equal
+//! between the two on every workload; the *simulated* cycle counts are
+//! semantics and do not change with interpreter speed (see
+//! `com_core::machine` module docs). The end-to-end no-regression gate
+//! for the hot path is the `perfbench` `interp` workload, not this
+//! speedup.
 
 use std::time::Instant;
 
@@ -25,9 +28,9 @@ use com_workloads::{self as workloads, Workload};
 /// Which interpreter loop a measurement exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Loop {
-    /// Pre-overhaul: stepwise reference loop + map-backed ITLB storage.
+    /// The stepwise reference loop.
     Baseline,
-    /// Overhauled: threaded loop + direct-mapped ITLB probe array.
+    /// The threaded hot loop.
     Threaded,
 }
 
@@ -57,9 +60,9 @@ impl Sample {
 pub struct Row {
     /// Bench row name (the experiment the workload stands in for).
     pub name: &'static str,
-    /// Pre-overhaul loop.
+    /// Stepwise reference loop.
     pub baseline: Sample,
-    /// Overhauled loop.
+    /// Threaded loop.
     pub threaded: Sample,
     /// Simulated CPI (identical across loops by construction).
     pub cpi: f64,
@@ -69,13 +72,6 @@ impl Row {
     /// Wall-clock speedup of the threaded loop over the baseline.
     pub fn speedup(&self) -> f64 {
         self.baseline.wall_ns as f64 / self.threaded.wall_ns.max(1) as f64
-    }
-}
-
-fn config_for(l: Loop) -> MachineConfig {
-    match l {
-        Loop::Baseline => MachineConfig::default().reference_interpreter(),
-        Loop::Threaded => MachineConfig::default(),
     }
 }
 
@@ -132,19 +128,16 @@ pub fn measure_paired(
     let mut per_send = 0;
     let mut warm_stats = None;
     for l in [Loop::Baseline, Loop::Threaded] {
-        let mut m = Machine::new(config_for(l));
+        let mut m = Machine::new(MachineConfig::default());
         m.load(&image)?;
         // Warmup: residency established, first-touch page faults taken.
         let warm = run_send(&mut m, w, l, max_steps)?;
-        // The two configs must simulate the *same* architectural work —
-        // full CycleStats, not just instruction counts. (The reference
-        // ITLB storage maps keys to sets differently; a conflicting
-        // working set would make the comparison apples-to-oranges, so it
-        // is rejected here rather than reported.)
+        // The two loops must simulate the *same* architectural work —
+        // full CycleStats, not just instruction counts.
         if let Some(prev) = warm_stats {
             assert_eq!(
                 prev, warm.stats,
-                "{}: simulated CycleStats diverged between loop configs",
+                "{}: simulated CycleStats diverged between loops",
                 w.name
             );
         }

@@ -60,35 +60,6 @@ impl SpinupMeasure {
     }
 }
 
-/// Wall-clock and lookup numbers for the ITLB pre-seeding comparison
-/// (median paired round): the same workload's first call on a cold
-/// session versus a session whose ITLB was pre-seeded at boot from the
-/// whole-image analysis's monomorphic send sites.
-#[derive(Debug, Clone, Copy)]
-pub struct PreseedMeasure {
-    /// Pre-seed keys extracted from the analysis (monomorphic sites).
-    pub keys: usize,
-    /// Full-association lookups the cold session's first call paid.
-    pub cold_full_lookups: u64,
-    /// Full-association lookups the pre-seeded session's first call paid.
-    pub preseeded_full_lookups: u64,
-    /// Nanoseconds for the cold session's first call.
-    pub cold_first_call_ns: u64,
-    /// Nanoseconds for the pre-seeded session's first call.
-    pub preseeded_first_call_ns: u64,
-    /// Paired rounds timed.
-    pub rounds: u32,
-}
-
-impl PreseedMeasure {
-    /// First-touch lookups the pre-seeding eliminated — the
-    /// deterministic signal (wall-clock deltas are host-limited).
-    pub fn lookups_avoided(&self) -> u64 {
-        self.cold_full_lookups
-            .saturating_sub(self.preseeded_full_lookups)
-    }
-}
-
 /// One tenant's outcome in the round-robin comparison.
 #[derive(Debug, Clone)]
 pub struct TenantRow {
@@ -112,8 +83,6 @@ pub struct TenantRow {
 pub struct SessionsReport {
     /// The spin-up comparison.
     pub spinup: SpinupMeasure,
-    /// The ITLB pre-seeding comparison.
-    pub preseed: PreseedMeasure,
     /// Per-tenant round-robin rows.
     pub tenants: Vec<TenantRow>,
     /// Scheduler rounds the interleaved run took.
@@ -192,65 +161,6 @@ pub fn measure_spinup(repeats: u32) -> Result<SpinupMeasure, VmError> {
     })
 }
 
-/// The paired-median ITLB pre-seeding comparison over `repeats` rounds:
-/// each round times one workload's first call on a freshly spawned cold
-/// session, then on a freshly spawned pre-seeded session, and the round
-/// with the median wall-clock ratio is reported. Results are asserted
-/// identical — pre-seeding may only move cold-start lookup costs.
-///
-/// # Errors
-///
-/// Propagates compile and boot errors.
-///
-/// # Panics
-///
-/// Panics if either path fails the workload's self-check.
-pub fn measure_preseed(repeats: u32) -> Result<PreseedMeasure, VmError> {
-    let w = workloads::CALLS;
-    let cold_vm = Vm::builder().source(w.source).build()?;
-    let seeded_vm = Vm::builder().source(w.source).preseed_itlb(true).build()?;
-    let keys = seeded_vm
-        .facts()
-        .map(|f| f.preseed_keys().len())
-        .unwrap_or(0);
-    let first_call = |vm: &Vm| -> Result<(u64, u64), VmError> {
-        let mut s = vm.session()?;
-        let t0 = Instant::now();
-        let out = workloads::run_on(&w, &mut s, workloads::MAX_STEPS)?;
-        let ns = t0.elapsed().as_nanos() as u64;
-        assert_eq!(
-            out.result,
-            Word::Int(w.expected),
-            "{} failed its self-check",
-            w.name
-        );
-        Ok((ns, out.stats.full_lookups))
-    };
-    // Warm both paths once (lazy analysis, allocator).
-    first_call(&cold_vm)?;
-    first_call(&seeded_vm)?;
-    let mut rounds: Vec<((u64, u64), (u64, u64))> = Vec::new();
-    for _ in 0..repeats.max(1) {
-        let cold = first_call(&cold_vm)?;
-        let seeded = first_call(&seeded_vm)?;
-        rounds.push((cold, seeded));
-    }
-    rounds.sort_by(|a, b| {
-        let ra = a.0 .0 as f64 / a.1 .0.max(1) as f64;
-        let rb = b.0 .0 as f64 / b.1 .0.max(1) as f64;
-        ra.partial_cmp(&rb).expect("finite ratios")
-    });
-    let ((cold_ns, cold_lookups), (seeded_ns, seeded_lookups)) = rounds[rounds.len() / 2];
-    Ok(PreseedMeasure {
-        keys,
-        cold_full_lookups: cold_lookups,
-        preseeded_full_lookups: seeded_lookups,
-        cold_first_call_ns: cold_ns,
-        preseeded_first_call_ns: seeded_ns,
-        rounds: repeats.max(1),
-    })
-}
-
 /// Runs `sessions` tenants sequentially, then the same tenants under the
 /// round-robin scheduler, asserting bit-identical results and statistics.
 ///
@@ -321,11 +231,9 @@ pub fn measure_roundrobin(sessions: usize) -> Result<(Vec<TenantRow>, u64), VmEr
 /// Propagates machine errors.
 pub fn report(sessions: usize, repeats: u32) -> Result<SessionsReport, VmError> {
     let spinup = measure_spinup(repeats)?;
-    let preseed = measure_preseed(repeats)?;
     let (tenants, rounds) = measure_roundrobin(sessions)?;
     Ok(SessionsReport {
         spinup,
-        preseed,
         sessions,
         tenants,
         rounds,
@@ -363,15 +271,6 @@ pub fn report_to_json(r: &SessionsReport) -> String {
         num(r.spinup.speedup()),
         r.spinup.speedup() >= 10.0,
     ));
-    s.push_str(&format!(
-        "  \"preseed\": {{\"keys\": {}, \"cold_full_lookups\": {}, \"preseeded_full_lookups\": {}, \"lookups_avoided\": {}, \"cold_first_call_ns\": {}, \"preseeded_first_call_ns\": {}, \"note\": \"wall-clock delta is host-limited; lookups_avoided is the deterministic signal\"}},\n",
-        r.preseed.keys,
-        r.preseed.cold_full_lookups,
-        r.preseed.preseeded_full_lookups,
-        r.preseed.lookups_avoided(),
-        r.preseed.cold_first_call_ns,
-        r.preseed.preseeded_first_call_ns,
-    ));
     s.push_str("  \"roundrobin\": {\n");
     s.push_str(&format!(
         "    \"rounds\": {},\n    \"tenants\": [\n",
@@ -391,11 +290,10 @@ pub fn report_to_json(r: &SessionsReport) -> String {
     }
     s.push_str("    ]\n  },\n");
     s.push_str(&format!(
-        "  \"summary\": {{\"spinup_speedup\": {}, \"target_10x_met\": {}, \"roundrobin_matches\": {}, \"preseed_lookups_avoided\": {}}}\n}}\n",
+        "  \"summary\": {{\"spinup_speedup\": {}, \"target_10x_met\": {}, \"roundrobin_matches\": {}}}\n}}\n",
         num(r.spinup.speedup()),
         r.spinup.speedup() >= 10.0,
         r.all_match(),
-        r.preseed.lookups_avoided(),
     ));
     s
 }
@@ -415,31 +313,11 @@ mod tests {
     }
 
     #[test]
-    fn preseed_eliminates_first_touch_lookups_without_changing_results() {
-        let m = measure_preseed(1).unwrap();
-        assert!(m.keys > 0, "analysis must yield monomorphic sites");
-        assert!(
-            m.preseeded_full_lookups < m.cold_full_lookups,
-            "pre-seeding must avoid lookups ({} vs {})",
-            m.preseeded_full_lookups,
-            m.cold_full_lookups
-        );
-    }
-
-    #[test]
     fn json_shape_is_valid_enough() {
         let r = SessionsReport {
             spinup: SpinupMeasure {
                 fresh_ns: 1_000_000,
                 session_ns: 10_000,
-                rounds: 3,
-            },
-            preseed: PreseedMeasure {
-                keys: 200,
-                cold_full_lookups: 50,
-                preseeded_full_lookups: 10,
-                cold_first_call_ns: 2_000,
-                preseeded_first_call_ns: 1_500,
                 rounds: 3,
             },
             sessions: 2,

@@ -222,6 +222,7 @@ impl<K: Copy + Eq + Hash, V> FlatCache<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SetAssocCache;
 
     fn cfg(entries: usize, ways: usize) -> CacheConfig {
         CacheConfig::new(entries, ways).unwrap()
@@ -260,6 +261,41 @@ mod tests {
         assert_eq!(evicted, Some((2, ())));
         assert!(c.lookup(&1).is_some());
         assert!(c.lookup(&3).is_some());
+    }
+
+    #[test]
+    fn matches_set_assoc_cache_when_fully_associative() {
+        // One set: set-index hashing is irrelevant, so the ATLB's flat
+        // storage and the generic cache must agree access for access on a
+        // translation-like stream of (team, segment) keys with reuse,
+        // capacity misses and descriptor invalidations.
+        for policy in [Replacement::Lru, Replacement::Fifo] {
+            let config = CacheConfig::fully_associative(16)
+                .unwrap()
+                .with_replacement(policy);
+            let mut flat: FlatCache<(u16, u64), u64> = FlatCache::new(config);
+            let mut generic: SetAssocCache<(u16, u64), u64> = SetAssocCache::new(config);
+            let mut x: u64 = 0x1985;
+            for i in 0..20_000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let seg = if i % 4 != 0 { x % 12 } else { x % 200 };
+                let key = ((seg % 3) as u16, seg);
+                if x.is_multiple_of(29) {
+                    assert_eq!(flat.invalidate(&key), generic.invalidate(&key));
+                    continue;
+                }
+                let hit = flat.lookup(&key).copied();
+                assert_eq!(hit, generic.lookup(&key).copied(), "{policy:?} access {i}");
+                if hit.is_none() {
+                    assert_eq!(flat.fill(key, seg * 64), generic.fill(key, seg * 64));
+                }
+            }
+            assert_eq!(flat.stats(), generic.stats());
+            assert_eq!(flat.len(), generic.len());
+            assert!(flat.stats().evictions > 0 && flat.stats().invalidations > 0);
+        }
     }
 
     #[test]

@@ -89,9 +89,6 @@ impl Block {
 /// owns the memory); the cache owns residency, the access vectors and LRU.
 #[derive(Debug)]
 pub struct ContextCache {
-    /// Pre-overhaul allocation order: scan the block array for the first
-    /// free block instead of popping the free stack (bench baseline).
-    reference: bool,
     blocks: Vec<Block>,
     current: Option<usize>,
     next: Option<usize>,
@@ -132,7 +129,6 @@ impl ContextCache {
     pub fn new(blocks: usize) -> Self {
         assert!(blocks >= 3, "context cache needs at least 3 blocks");
         ContextCache {
-            reference: false,
             blocks: (0..blocks).map(|_| Block::empty()).collect(),
             current: None,
             next: None,
@@ -141,11 +137,6 @@ impl ContextCache {
             clock: 0,
             stats: CtxCacheStats::default(),
         }
-    }
-
-    /// Selects pre-overhaul block-allocation order (first-free scan).
-    pub fn set_reference_paths(&mut self, reference: bool) {
-        self.reference = reference;
     }
 
     /// Counter snapshot.
@@ -211,33 +202,10 @@ impl ContextCache {
         }
     }
 
-    /// Directory lookup through the pre-overhaul linear scan of the block
-    /// array (the reference-interpreter baseline). Same result and stats
-    /// as [`find`](Self::find); only the simulator-side cost differs.
-    pub fn find_reference(&mut self, abs: AbsAddr) -> Option<usize> {
-        self.stats.directory_lookups += 1;
-        let hit = self.blocks.iter().position(|b| b.abs == Some(abs));
-        if hit.is_some() {
-            self.stats.directory_hits += 1;
-        }
-        hit
-    }
-
-    /// The free count by the pre-overhaul scan (reference baseline).
-    pub fn free_count_reference(&self) -> usize {
-        self.blocks.iter().filter(|b| b.abs.is_none()).count()
-    }
-
     /// Picks a victim block: a free one if available, else the LRU block
     /// that is neither current nor next. Returns `(index, eviction)`.
     fn victim(&mut self) -> (usize, Option<Eviction>) {
-        if self.reference {
-            // Pre-overhaul order: first free block by scan.
-            if let Some(i) = self.blocks.iter().position(|b| b.abs.is_none()) {
-                self.free_stack.retain(|&f| f != i);
-                return (i, None);
-            }
-        } else if let Some(i) = self.free_stack.pop() {
+        if let Some(i) = self.free_stack.pop() {
             // The caller occupies the block immediately.
             return (i, None);
         }
@@ -572,6 +540,56 @@ mod tests {
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].abs, AbsAddr(0x100));
         assert!(c.dirty_blocks().is_empty(), "second drain is empty");
+    }
+
+    /// The block-array scans the directory and free stack stand in for.
+    fn scan_find(c: &ContextCache, abs: AbsAddr) -> Option<usize> {
+        c.blocks.iter().position(|b| b.abs == Some(abs))
+    }
+
+    fn scan_free_count(c: &ContextCache) -> usize {
+        c.blocks.iter().filter(|b| b.abs.is_none()).count()
+    }
+
+    #[test]
+    fn directory_and_free_stack_match_block_scan() {
+        let mut c = ContextCache::new(8);
+        let mut rng: u64 = 0x9E37_79B9_7F4A_7C15;
+        let addrs: Vec<AbsAddr> = (1..=16).map(|i| AbsAddr(i * 0x40)).collect();
+        let words = vec![(Word::Int(9), ClassId::SMALL_INT); CONTEXT_WORDS as usize];
+        for _ in 0..5_000 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let abs = addrs[(rng >> 8) as usize % addrs.len()];
+            let block = (rng >> 32) as usize % 8;
+            // Only contexts not already resident may be installed or
+            // allocated (the machine faults in or allocates on a miss).
+            let resident = scan_find(&c, abs).is_some();
+            match rng % 7 {
+                0 if !resident => {
+                    c.install(abs, words.clone());
+                }
+                1 if !resident => {
+                    c.alloc_next(abs);
+                }
+                2 => c.release(abs),
+                3 => c.release_block(block),
+                4 if c.block_abs(block).is_some() => c.recycle_as_next(block),
+                5 => {
+                    c.copyback_victim();
+                }
+                6 => c.set_current(c.block_abs(block).map(|_| block)),
+                _ => {}
+            }
+            for a in &addrs {
+                let before = c.stats();
+                assert_eq!(c.find(*a), scan_find(&c, *a));
+                assert_eq!(c.stats().directory_lookups, before.directory_lookups + 1);
+            }
+            assert_eq!(c.free_count(), scan_free_count(&c));
+        }
+        assert!(c.stats().directory_hits > 0 && c.stats().copybacks > 0);
     }
 
     #[test]

@@ -184,7 +184,7 @@ fn loops_agree_at_step_limit_cutoff() {
 fn loops_agree_with_periodic_gc() {
     let (img, sel) = sumto_image();
     let cfg = MachineConfig {
-        gc_interval: Some(97),
+        gc_full_interval: Some(97),
         ..MachineConfig::default()
     };
     let a = observe(&img, sel, Word::Int(80), cfg, 1_000_000, false);
@@ -214,9 +214,9 @@ fn loops_agree_with_generational_gc() {
             gc_full_interval: Some(809),
             ..MachineConfig::default()
         },
-        // Legacy full knob and the minor knob together.
+        // Full and minor knobs on unrelated prime cadences.
         MachineConfig {
-            gc_interval: Some(613),
+            gc_full_interval: Some(613),
             gc_minor_interval: Some(97),
             ..MachineConfig::default()
         },
@@ -247,65 +247,13 @@ fn loops_agree_with_generational_gc() {
             "minor collections must actually run"
         );
         assert!(a.stats.gc_cycles > 0, "GC cost must be charged");
-        if cfg.gc_full_interval.is_some() || cfg.gc_interval.is_some() {
+        if cfg.gc_full_interval.is_some() {
             assert!(
                 a.stats.gc_runs > a.stats.gc_minor_runs,
                 "full collections must actually run"
             );
         }
     }
-}
-
-#[test]
-fn reference_interpreter_agrees_under_generational_gc() {
-    // The pre-overhaul data paths see the same collections at the same
-    // boundaries (the bench baseline must stay comparable).
-    let (img, sel) = sumto_image();
-    let cfg = MachineConfig {
-        gc_minor_interval: Some(101),
-        gc_full_interval: Some(809),
-        ..MachineConfig::default()
-    };
-    let fast = observe(&img, sel, Word::Int(120), cfg, 1_000_000, false);
-    let reference = observe(
-        &img,
-        sel,
-        Word::Int(120),
-        MachineConfig {
-            gc_minor_interval: Some(101),
-            gc_full_interval: Some(809),
-            ..MachineConfig::default().reference_interpreter()
-        },
-        1_000_000,
-        true,
-    );
-    assert_eq!(fast.result, reference.result);
-    assert_eq!(fast.stats, reference.stats);
-}
-
-#[test]
-fn reference_interpreter_is_architecturally_identical() {
-    // The bench baseline (pre-overhaul data paths) models the same
-    // machine: same answers, same cycle accounting on a fixed workload.
-    let (img, sel) = sumto_image();
-    let fast = observe(
-        &img,
-        sel,
-        Word::Int(150),
-        MachineConfig::default(),
-        1_000_000,
-        false,
-    );
-    let reference = observe(
-        &img,
-        sel,
-        Word::Int(150),
-        MachineConfig::default().reference_interpreter(),
-        1_000_000,
-        true,
-    );
-    assert_eq!(fast.result, reference.result);
-    assert_eq!(fast.stats, reference.stats);
 }
 
 #[test]

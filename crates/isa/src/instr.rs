@@ -91,8 +91,8 @@ impl Instr {
         if a.is_const() {
             return Err(IsaError::MisplacedConstant { position: 0 });
         }
-        // Deviation from the paper's "last operand only" constant rule,
-        // documented in DESIGN.md: we model a dual-ported constant
+        // Deviation from the paper's "last operand only" constant rule:
+        // we model a dual-ported constant
         // generator, so either source operand (B or C) may be constant.
         // Only the destination A must name a context slot.
         a.validated()?;

@@ -125,7 +125,7 @@ opcodes! {
     // ("higher level operating system functions … are not tied down in
     // hardware", §3) but its workloads allocate constantly; these two
     // selectors are the machine-level primitives the allocation software
-    // bottoms out in. Documented as a deviation in DESIGN.md.
+    // bottoms out in. A deviation from the paper's opcode set.
     /// Allocate an object: `a <- new(class_id: b, words: c)`.
     NEW = 33, "basicNew:";
     /// Grow an object (§2.2 aliasing): `a <- grow(obj: b, words: c)`.

@@ -193,9 +193,6 @@ pub struct AbsoluteMemory {
     /// Invalidated on any free (a memo hit must imply liveness;
     /// allocation only adds blocks, so it cannot stale the memo).
     last_block: std::cell::Cell<(u64, u64, u32)>,
-    /// Disable the memo (pre-overhaul bounds checking: every access walks
-    /// the tree). The wall-clock bench baseline opts in.
-    reference: bool,
     reads: u64,
     writes: u64,
 }
@@ -209,7 +206,6 @@ impl AbsoluteMemory {
             slots: Vec::new(),
             free_slots: Vec::new(),
             last_block: std::cell::Cell::new((0, 0, 0)),
-            reference: false,
             reads: 0,
             writes: 0,
         }
@@ -275,18 +271,12 @@ impl AbsoluteMemory {
             .map(|&slot| self.slots[slot as usize].words)
     }
 
-    /// Selects the pre-overhaul bounds-check path (no memo).
-    pub fn set_reference_paths(&mut self, reference: bool) {
-        self.reference = reference;
-        self.last_block.set((0, 0, 0));
-    }
-
     /// Bounds-checks `addr` and returns its containing block's base and
     /// slab slot (the word's storage index is `addr - base`).
     #[inline]
     fn locate(&self, addr: AbsAddr) -> Result<(u64, u32), MemError> {
         let (base, words, slot) = self.last_block.get();
-        if !self.reference && addr.0.wrapping_sub(base) < words {
+        if addr.0.wrapping_sub(base) < words {
             return Ok((base, slot));
         }
         match self.index.range(..=addr.0).next_back() {

@@ -126,6 +126,12 @@ pub(crate) struct GcBook {
     /// into the nursery, dirtied by the write barrier since the last
     /// collection.
     pub(crate) remembered: HashSet<SegmentName, FxBuildHasher>,
+    /// Tenured names that [`ObjectSpace::grow`] re-pointed at a nursery
+    /// block since the last collection. Each one's forward edge is an
+    /// old-to-young pointer the write barrier never saw; a minor mark
+    /// follows it (without rescanning the alias, whose words are the
+    /// grown object's).
+    pub(crate) grown_aliases: HashSet<SegmentName, FxBuildHasher>,
     /// Block base → every live segment name sharing that block, canonical
     /// (widest, newest) name first. Lets an absolute-addressed store find
     /// the segment to remember, and lets the sweep free a block exactly
@@ -149,6 +155,7 @@ impl GcBook {
     pub(crate) fn on_drop_name(&mut self, seg: SegmentName, base: AbsAddr) {
         self.nursery_segs.remove(&seg);
         self.remembered.remove(&seg);
+        self.grown_aliases.remove(&seg);
         if let Some(names) = self.base_names.get_mut(&base.0) {
             names.retain(|n| *n != seg);
         }
@@ -288,14 +295,6 @@ impl ObjectSpace {
     /// write back through this).
     pub fn memory_mut(&mut self) -> &mut AbsoluteMemory {
         &mut self.mem
-    }
-
-    /// Switches the memory system's hot paths to their pre-overhaul forms
-    /// (ATLB generic-cache storage, unmemoized bounds checks) — the
-    /// wall-clock bench baseline. Architecturally identical either way.
-    pub fn set_reference_paths(&mut self, reference: bool) {
-        self.mem.set_reference_paths(reference);
-        self.mmu.set_reference_paths(reference);
     }
 
     /// Allocation statistics for experiment T5.
@@ -476,11 +475,18 @@ impl ObjectSpace {
         // The new block (and its new name) enter the nursery; the aliases
         // move with the storage, so the base index keeps the canonical
         // (widest) name first, followed by every alias. A tenured alias
-        // re-pointed here is scanned by minor collections through the
-        // nursery-base rule, which keeps its forward edge live.
+        // now forwards into the nursery, yet a tenured holder that stored
+        // it before the last promotion is not remembered, so a minor mark
+        // might never reach it: record the alias, and the minor mark
+        // follows its forward edge.
         self.book.on_create(new_addr.segment(), new_abs);
         if let Some(names) = self.book.base_names.get_mut(&new_abs.0) {
             names.extend(aliases.iter().copied());
+        }
+        for name in &aliases {
+            if !self.book.nursery_segs.contains(name) {
+                self.book.grown_aliases.insert(*name);
+            }
         }
         for name in aliases {
             self.mmu.invalidate(team, name);

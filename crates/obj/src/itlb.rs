@@ -12,9 +12,8 @@
 //! into one word, a multiplicative hash selects the set, and the ways of
 //! that set are probed in place. No per-lookup heap hashing is involved,
 //! which matters because *every* COM instruction translates through this
-//! structure. The legacy map-backed storage is kept behind
-//! [`ItlbConfig::with_reference_storage`] as the pre-overhaul baseline for
-//! the wall-clock bench pipeline.
+//! structure. The optional second level is a generic [`SetAssocCache`];
+//! the tests check the probe array against it access for access.
 
 use com_cache::{CacheConfig, CacheError, CacheStats, Replacement, SetAssocCache};
 use com_isa::Opcode;
@@ -88,16 +87,6 @@ pub struct ItlbConfig {
     pub l1: CacheConfig,
     /// Optional second-level geometry (in main memory; slower but larger).
     pub l2: Option<CacheConfig>,
-    /// Use the legacy map-backed L1 storage instead of the probe array.
-    /// Same geometry and replacement policy, but the two storages hash
-    /// keys to sets differently (SipHash vs the packed-key Fibonacci
-    /// hash), so conflict evictions — and therefore miss counts — can
-    /// differ once a working set collides within sets. They are exactly
-    /// equivalent when fully associative (tested), and in practice for
-    /// working sets well under capacity; the bench pipeline asserts the
-    /// simulated stats matched on every workload it reports. Exists so
-    /// the bench can measure the pre-overhaul interpreter.
-    pub reference_storage: bool,
 }
 
 impl ItlbConfig {
@@ -112,7 +101,6 @@ impl ItlbConfig {
         Ok(ItlbConfig {
             l1: CacheConfig::new(512, 2)?,
             l2: None,
-            reference_storage: false,
         })
     }
 
@@ -124,12 +112,6 @@ impl ItlbConfig {
     pub fn with_l2(mut self, entries: usize, ways: usize) -> Result<Self, CacheError> {
         self.l2 = Some(CacheConfig::new(entries, ways)?);
         Ok(self)
-    }
-
-    /// Selects the legacy map-backed first-level storage (bench baseline).
-    pub fn with_reference_storage(mut self) -> Self {
-        self.reference_storage = true;
-        self
     }
 }
 
@@ -291,13 +273,6 @@ impl ProbeArray {
     }
 }
 
-/// First-level storage: the probe array, or the legacy map-backed cache.
-#[derive(Debug)]
-enum L1 {
-    Probe(ProbeArray),
-    Reference(SetAssocCache<ItlbKey, MethodRef>),
-}
-
 /// The ITLB: a (possibly two-level) cache from [`ItlbKey`] to [`MethodRef`].
 ///
 /// ```
@@ -317,7 +292,7 @@ enum L1 {
 /// ```
 #[derive(Debug)]
 pub struct Itlb {
-    l1: L1,
+    l1: ProbeArray,
     l2: Option<SetAssocCache<ItlbKey, MethodRef>>,
     last_hit: ItlbHit,
 }
@@ -326,44 +301,24 @@ impl Itlb {
     /// Creates an ITLB with the given geometry.
     pub fn new(config: ItlbConfig) -> Self {
         Itlb {
-            l1: if config.reference_storage {
-                L1::Reference(SetAssocCache::new(config.l1))
-            } else {
-                L1::Probe(ProbeArray::new(config.l1))
-            },
+            l1: ProbeArray::new(config.l1),
             l2: config.l2.map(SetAssocCache::new),
             last_hit: ItlbHit::Miss,
-        }
-    }
-
-    #[inline]
-    fn l1_lookup(&mut self, key: ItlbKey) -> Option<MethodRef> {
-        match &mut self.l1 {
-            L1::Probe(p) => p.lookup(key),
-            L1::Reference(c) => c.lookup(&key).copied(),
-        }
-    }
-
-    fn l1_fill(&mut self, key: ItlbKey, value: MethodRef) -> Option<(ItlbKey, MethodRef)> {
-        match &mut self.l1 {
-            L1::Probe(p) => p.fill(key, value),
-            L1::Reference(c) => c.fill(key, value),
         }
     }
 
     /// Looks up a key; L2 hits are promoted into L1 (victims demoted).
     #[inline]
     pub fn lookup(&mut self, key: ItlbKey) -> Option<MethodRef> {
-        if let Some(m) = self.l1_lookup(key) {
+        if let Some(m) = self.l1.lookup(key) {
             self.last_hit = ItlbHit::L1;
             return Some(m);
         }
-        if self.l2.is_some() {
-            let hit = self.l2.as_mut().expect("checked").lookup(&key).copied();
-            if let Some(m) = hit {
+        if let Some(l2) = &mut self.l2 {
+            if let Some(m) = l2.lookup(&key).copied() {
                 self.last_hit = ItlbHit::L2;
-                if let Some((vk, vv)) = self.l1_fill(key, m) {
-                    self.l2.as_mut().expect("checked").fill(vk, vv);
+                if let Some((vk, vv)) = self.l1.fill(key, m) {
+                    l2.fill(vk, vv);
                 }
                 return Some(m);
             }
@@ -379,7 +334,7 @@ impl Itlb {
 
     /// Installs a resolution after a miss; L1 victims demote to L2.
     pub fn fill(&mut self, key: ItlbKey, method: MethodRef) {
-        if let Some((vk, vv)) = self.l1_fill(key, method) {
+        if let Some((vk, vv)) = self.l1.fill(key, method) {
             if let Some(l2) = &mut self.l2 {
                 l2.fill(vk, vv);
             }
@@ -393,10 +348,7 @@ impl Itlb {
     /// redefined — "no object code need ever be modified", §2.1, but stale
     /// translations must go).
     pub fn flush(&mut self) {
-        match &mut self.l1 {
-            L1::Probe(p) => p.clear(),
-            L1::Reference(c) => c.clear(),
-        }
+        self.l1.clear();
         if let Some(l2) = &mut self.l2 {
             l2.clear();
         }
@@ -404,18 +356,12 @@ impl Itlb {
 
     /// Number of resolutions resident in the first level.
     pub fn l1_len(&self) -> usize {
-        match &self.l1 {
-            L1::Probe(p) => p.len(),
-            L1::Reference(c) => c.len(),
-        }
+        self.l1.len()
     }
 
     /// First-level statistics.
     pub fn l1_stats(&self) -> CacheStats {
-        match &self.l1 {
-            L1::Probe(p) => p.stats,
-            L1::Reference(c) => c.stats(),
-        }
+        self.l1.stats
     }
 
     /// Second-level statistics, if a second level exists.
@@ -425,10 +371,7 @@ impl Itlb {
 
     /// Resets statistics on both levels (warmup boundary, §5).
     pub fn reset_stats(&mut self) {
-        match &mut self.l1 {
-            L1::Probe(p) => p.stats = CacheStats::default(),
-            L1::Reference(c) => c.reset_stats(),
-        }
+        self.l1.stats = CacheStats::default();
         if let Some(l2) = &mut self.l2 {
             l2.reset_stats();
         }
@@ -448,14 +391,55 @@ mod tests {
         MethodRef::Primitive(PrimOp::Add)
     }
 
-    fn both_storages() -> Vec<Itlb> {
-        let cfg = ItlbConfig::paper_default().unwrap();
-        vec![Itlb::new(cfg), Itlb::new(cfg.with_reference_storage())]
+    fn itlb() -> Itlb {
+        Itlb::new(ItlbConfig::paper_default().unwrap())
+    }
+
+    /// Drives the probe array and the generic cache with the same access
+    /// stream (lookup, fill on miss) and asserts they agree access for
+    /// access: hits, values, evicted pairs and statistics.
+    fn assert_matches_set_assoc_cache(config: CacheConfig, keys: impl Iterator<Item = ItlbKey>) {
+        let mut probe = ProbeArray::new(config);
+        let mut generic: SetAssocCache<ItlbKey, MethodRef> = SetAssocCache::new(config);
+        for k in keys {
+            let hit = probe.lookup(k);
+            assert_eq!(hit, generic.lookup(&k).copied(), "lookup diverged at {k}");
+            if hit.is_none() {
+                let m = if k.opcode.0.is_multiple_of(2) {
+                    add()
+                } else {
+                    MethodRef::Primitive(PrimOp::Sub)
+                };
+                assert_eq!(probe.fill(k, m), generic.fill(k, m), "fill diverged at {k}");
+            }
+        }
+        assert_eq!(probe.stats, generic.stats());
+        assert_eq!(probe.len(), generic.len());
+    }
+
+    #[test]
+    fn probe_array_matches_set_assoc_cache_when_fully_associative() {
+        // One set: set-index hashing is irrelevant, so both implement the
+        // same replacement policy over the same lines.
+        let mut x: u64 = 0x1985;
+        let keys = (0..20_000).map(move |i| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let k = if i % 4 != 0 { x % 12 } else { x % 300 } as u16;
+            key(k % 64, k / 64 + 1)
+        });
+        assert_matches_set_assoc_cache(CacheConfig::new(16, 16).unwrap(), keys.clone());
+        for policy in [Replacement::Fifo, Replacement::Random] {
+            let config = CacheConfig::new(16, 16).unwrap().with_replacement(policy);
+            assert_matches_set_assoc_cache(config, keys.clone());
+        }
     }
 
     #[test]
     fn fill_then_hit() {
-        for mut itlb in both_storages() {
+        {
+            let mut itlb = itlb();
             assert_eq!(itlb.lookup(key(1, 1)), None);
             assert_eq!(itlb.last_hit(), ItlbHit::Miss);
             itlb.fill(key(1, 1), add());
@@ -484,7 +468,8 @@ mod tests {
 
     #[test]
     fn distinct_class_signatures_are_distinct_entries() {
-        for mut itlb in both_storages() {
+        {
+            let mut itlb = itlb();
             itlb.fill(key(1, 1), add());
             assert_eq!(itlb.lookup(key(1, 2)), None, "different receiver class");
             assert_eq!(
@@ -500,7 +485,6 @@ mod tests {
         let cfg = ItlbConfig {
             l1: CacheConfig::new(2, 2).unwrap(),
             l2: Some(CacheConfig::new(64, 2).unwrap()),
-            reference_storage: false,
         };
         let mut itlb = Itlb::new(cfg);
         // Fill three keys: one must be evicted from the tiny L1 into L2.
@@ -523,7 +507,8 @@ mod tests {
 
     #[test]
     fn flush_clears_everything() {
-        for mut itlb in both_storages() {
+        {
+            let mut itlb = itlb();
             itlb.fill(key(1, 1), add());
             itlb.flush();
             assert_eq!(itlb.lookup(key(1, 1)), None);

@@ -1,8 +1,8 @@
 //! Properties of the direct-mapped / set-associative ITLB probe array:
-//! fill, evict, hit-rate, and equivalence with the legacy map-backed
-//! reference storage.
+//! fill, evict, hit-rate, and equivalence with the generic
+//! [`SetAssocCache`] when fully associative.
 
-use com_cache::CacheConfig;
+use com_cache::{CacheConfig, SetAssocCache};
 use com_isa::{Opcode, PrimOp};
 use com_mem::ClassId;
 use com_obj::{Itlb, ItlbConfig, ItlbHit, ItlbKey, MethodRef};
@@ -24,7 +24,6 @@ fn cfg(entries: usize, ways: usize) -> ItlbConfig {
     ItlbConfig {
         l1: CacheConfig::new(entries, ways).unwrap(),
         l2: None,
-        reference_storage: false,
     }
 }
 
@@ -86,24 +85,23 @@ fn refill_replaces_in_place_without_eviction() {
 
 #[test]
 fn probe_array_matches_reference_when_fully_associative() {
-    // With a single set, set-index hashing is irrelevant and both storages
-    // implement plain LRU — they must agree access for access.
+    // With a single set, set-index hashing is irrelevant and both the probe
+    // array and the generic cache implement plain LRU — they must agree
+    // access for access.
     let mut probe = Itlb::new(cfg(16, 16));
-    let mut reference = Itlb::new(cfg(16, 16).with_reference_storage());
+    let mut reference: SetAssocCache<ItlbKey, MethodRef> =
+        SetAssocCache::new(CacheConfig::new(16, 16).unwrap());
     for k in key_stream(20_000) {
         let a = probe.lookup(k);
-        let b = reference.lookup(k);
-        assert_eq!(a.is_some(), b.is_some(), "hit/miss diverged at {k}");
+        assert_eq!(a, reference.lookup(&k).copied(), "lookup diverged at {k}");
         if a.is_none() {
             let m = method(k.opcode.0);
             probe.fill(k, m);
             reference.fill(k, m);
-        } else {
-            assert_eq!(a, b, "values diverged at {k}");
         }
     }
-    assert_eq!(probe.l1_stats(), reference.l1_stats());
-    assert_eq!(probe.l1_len(), reference.l1_len());
+    assert_eq!(probe.l1_stats(), reference.stats());
+    assert_eq!(probe.l1_len(), reference.len());
 }
 
 #[test]
@@ -170,7 +168,6 @@ fn two_level_demotion_and_promotion_with_probe_l1() {
     let config = ItlbConfig {
         l1: CacheConfig::new(2, 1).unwrap(),
         l2: Some(CacheConfig::new(128, 2).unwrap()),
-        reference_storage: false,
     };
     let mut itlb = Itlb::new(config);
     // Far more keys than L1 holds: L1 victims demote to L2.

@@ -1,7 +1,6 @@
 //! The machine-readable facts artifact: everything the interprocedural
 //! tier proved about an image, packaged as the input contract for
-//! downstream consumers — the engine's ITLB pre-seeding today, a
-//! baseline JIT tomorrow (`vmlint --emit-facts`).
+//! downstream tooling (`vmlint --emit-facts`).
 //!
 //! The JSON layout (`version` 1) is:
 //!

@@ -20,8 +20,8 @@
 //!   ([`infer_image`]) over the closed class world, a call graph with
 //!   every send site classified monomorphic / polymorphic / unresolvable
 //!   ([`CallGraph`]), and a machine-readable facts artifact
-//!   ([`ImageFacts`]) that downstream consumers (the engine's ITLB
-//!   pre-seeding, a future JIT) take as their input contract.
+//!   ([`ImageFacts`]) that downstream tooling takes as its input
+//!   contract.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -104,8 +104,7 @@ pub use com_mem::Word;
 pub use com_stc::CompileOptions;
 pub use com_verify::ImageFacts;
 
-use com_obj::ItlbKey;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Builds a [`Vm`]: gathers source text, compiles it once, pre-decodes
 /// every method.
@@ -126,7 +125,6 @@ pub struct VmBuilder {
     options: CompileOptions,
     config: MachineConfig,
     verify: bool,
-    preseed: bool,
 }
 
 impl Default for VmBuilder {
@@ -144,7 +142,6 @@ impl VmBuilder {
             options: CompileOptions::default(),
             config: MachineConfig::default(),
             verify: true,
-            preseed: false,
         }
     }
 
@@ -179,21 +176,6 @@ impl VmBuilder {
         self
     }
 
-    /// Toggles boot-time ITLB pre-seeding (off by default). When on,
-    /// each spawned session's translation buffer is warmed with the
-    /// image's statically resolved monomorphic send sites (the
-    /// whole-image analysis in [`Vm::facts`]) before the first
-    /// instruction runs — those sites then hit the buffer instead of
-    /// paying a first-touch full-association lookup. Every pre-seeded
-    /// entry is exactly what the first real dispatch would have filled,
-    /// so results and execution are unchanged; only cold-start lookup
-    /// costs move. The analysis runs lazily once per `Vm` and is shared
-    /// by all sessions.
-    pub fn preseed_itlb(mut self, preseed: bool) -> VmBuilder {
-        self.preseed = preseed;
-        self
-    }
-
     /// Compiles the gathered sources once, **verifies** the image (unless
     /// [`verify(false)`](VmBuilder::verify)), and prepares the shared
     /// image.
@@ -212,18 +194,8 @@ impl VmBuilder {
         Ok(Vm {
             image: Arc::new(LoadedImage::prepare_for(image, &self.config)),
             config: self.config,
-            preseed: self.preseed,
-            analysis: Arc::new(OnceLock::new()),
         })
     }
-}
-
-/// The lazily-computed whole-image analysis a `Vm` shares across its
-/// sessions: the facts artifact plus the pre-extracted seeding keys.
-#[derive(Debug)]
-struct Analysis {
-    facts: ImageFacts,
-    keys: Vec<ItlbKey>,
 }
 
 /// A compiled program ready to serve tenants: one shared, immutable
@@ -239,8 +211,6 @@ struct Analysis {
 pub struct Vm {
     image: Arc<LoadedImage>,
     config: MachineConfig,
-    preseed: bool,
-    analysis: Arc<OnceLock<Option<Analysis>>>,
 }
 
 impl Vm {
@@ -272,8 +242,6 @@ impl Vm {
         Ok(Vm {
             image: Arc::new(LoadedImage::prepare_for(image, &config)),
             config,
-            preseed: false,
-            analysis: Arc::new(OnceLock::new()),
         })
     }
 
@@ -287,32 +255,7 @@ impl Vm {
     ///
     /// Propagates storage errors from the boot.
     pub fn session(&self) -> Result<Session, VmError> {
-        let mut session = Session::boot(Arc::clone(&self.image), self.config)?;
-        if self.preseed {
-            if let Some(analysis) = self.analysis() {
-                session.machine_mut().preseed_itlb(&analysis.keys);
-            }
-        }
-        Ok(session)
-    }
-
-    /// The whole-image analysis facts (class inference, send-site
-    /// resolution, call graph, fuel bounds) for the compiled image,
-    /// computed lazily on first use and shared by all clones of this
-    /// `Vm`. `None` when the image exceeds the analysis's class budget
-    /// or was admitted with verification disabled and does not verify.
-    pub fn facts(&self) -> Option<&ImageFacts> {
-        self.analysis().map(|a| &a.facts)
-    }
-
-    fn analysis(&self) -> Option<&Analysis> {
-        self.analysis
-            .get_or_init(|| {
-                let facts = ImageFacts::analyze(self.image.image()).ok()?;
-                let keys = facts.preseed_keys();
-                Some(Analysis { facts, keys })
-            })
-            .as_ref()
+        Session::boot(Arc::clone(&self.image), self.config)
     }
 
     /// The shared image.
@@ -578,33 +521,6 @@ mod tests {
             }
             other => panic!("expected VmError::Verify, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn preseeded_sessions_pay_fewer_cold_lookups() {
-        let plain = Vm::new(FACTORIAL).unwrap();
-        let seeded = Vm::builder()
-            .source(FACTORIAL)
-            .preseed_itlb(true)
-            .build()
-            .unwrap();
-        let facts = seeded.facts().expect("whole-image analysis");
-        assert!(facts.summary.monomorphic > 0);
-        let mut a = plain.session().unwrap();
-        let mut b = seeded.session().unwrap();
-        assert_eq!(a.call::<i64>("factorial", 10).unwrap(), 3_628_800);
-        assert_eq!(b.call::<i64>("factorial", 10).unwrap(), 3_628_800);
-        assert_eq!(
-            a.stats().instructions,
-            b.stats().instructions,
-            "pre-seeding must not change execution"
-        );
-        assert!(
-            b.stats().full_lookups < a.stats().full_lookups,
-            "pre-seeded session must skip first-touch lookups ({} vs {})",
-            b.stats().full_lookups,
-            a.stats().full_lookups
-        );
     }
 
     #[test]

@@ -362,17 +362,20 @@ fn submit_within_blocks_until_space_or_times_out() {
     let vm = vm();
     let server = Server::start(vm, config(1, 1));
     server.register("a", TenantConfig::default()).unwrap();
+    server.register("b", TenantConfig::default()).unwrap();
     let running = server
-        .submit("a", Request::new("spin", 2_000_000i64))
+        .submit("a", Request::new("spin", 200_000i64))
         .unwrap();
     while server.queued() > 0 {
         std::thread::yield_now();
     }
-    let queued = server.submit("a", Request::new("tri", 5i64)).unwrap();
-    // The queue (depth 1) is now full; a blocking submit waits for the
-    // worker to pop the queued request and then gets in.
+    // The queue (depth 1) is now full with a request for a second tenant.
+    // The worker rotates tenants every slice, so it pops that request
+    // after at most one more slice of `a` — however fast `spin` runs — and
+    // the blocking submit then gets in.
+    let queued = server.submit("b", Request::new("tri", 5i64)).unwrap();
     let waited = server
-        .submit_within("a", Request::new("tri", 6i64), Duration::from_secs(10))
+        .submit_within("b", Request::new("tri", 6i64), Duration::from_secs(10))
         .unwrap();
     assert_eq!(waited.wait().result_as::<i64>().unwrap(), 21);
     assert_eq!(queued.wait().result_as::<i64>().unwrap(), 15);

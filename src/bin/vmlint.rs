@@ -1,7 +1,7 @@
 //! `vmlint` — static verification, dataflow lint, and whole-image
 //! analysis over COM program images, with stable diagnostic codes, a
 //! deny mode for CI, machine-readable output, and a facts artifact for
-//! downstream consumers (ITLB pre-seeding, a future JIT).
+//! downstream tooling.
 
 use com_stc::{compile_com, CompileOptions};
 use com_verify::{

@@ -3,8 +3,8 @@
 //! Machine precursor, a mini-Smalltalk compiler for both, and the paper's
 //! full experimental apparatus.
 //!
-//! This facade crate re-exports every subsystem; see `DESIGN.md` for the
-//! system inventory and `EXPERIMENTS.md` for paper-vs-measured results.
+//! This facade crate re-exports every subsystem; the repository README
+//! maps the crates and lists how to run each experiment.
 //!
 //! The embedding API is the [`vm`] facade: compile once into a shared
 //! immutable image, then spawn any number of cheap, isolated tenant

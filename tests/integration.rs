@@ -69,7 +69,7 @@ fn all_ablation_configs_agree_on_every_workload() {
             (
                 "gc every 5k steps",
                 MachineConfig {
-                    gc_interval: Some(5_000),
+                    gc_full_interval: Some(5_000),
                     ..MachineConfig::default()
                 },
             ),
@@ -120,7 +120,7 @@ fn com_and_fith_agree_on_fresh_programs() {
 fn gc_reclaims_workload_garbage_without_changing_results() {
     // trees allocates thousands of nodes; force frequent collections.
     let cfg = MachineConfig {
-        gc_interval: Some(2_000),
+        gc_full_interval: Some(2_000),
         ..MachineConfig::default()
     };
     let (out, m) = workloads::run_com(&workloads::TREES, cfg, workloads::MAX_STEPS).unwrap();
@@ -176,7 +176,7 @@ fn escaped_contexts_survive_gc_and_still_work() {
         end
     "#;
     let cfg = MachineConfig {
-        gc_interval: Some(500),
+        gc_full_interval: Some(500),
         ..MachineConfig::default()
     };
     let image = compile_com(src, CompileOptions::default()).unwrap();
