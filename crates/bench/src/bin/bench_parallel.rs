@@ -78,7 +78,6 @@ fn main() {
                 format!("{}", row.instructions),
                 format!("{:.1}", row.throughput),
                 format!("{:.2}x", row.speedup_vs_1),
-                format!("{}", row.steals),
                 format!("{}", row.migrations),
             ]
         })
@@ -91,7 +90,6 @@ fn main() {
             "instructions",
             "instr/us",
             "speedup",
-            "steals",
             "migrations",
         ],
         &table,

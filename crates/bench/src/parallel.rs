@@ -67,8 +67,6 @@ pub struct ScalingRow {
     pub throughput: f64,
     /// Speedup over the same round's 1-worker drain.
     pub speedup_vs_1: f64,
-    /// Successful work steals during the drain.
-    pub steals: u64,
     /// Tenant slices that resumed on a different worker than the
     /// previous slice (cross-thread session movement, in production).
     pub migrations: u64,
@@ -179,7 +177,7 @@ fn drain(
     let sessions = started_tenants(tenants, set, vms)?;
     let pool = ParallelExecutor::new(workers, SLICE_STEPS);
     let t0 = Instant::now();
-    let (runs, steals) = pool.run_counting_steals(sessions);
+    let runs = pool.run(sessions);
     let wall_ns = t0.elapsed().as_nanos() as u64;
     let mut instructions = 0u64;
     let mut migrations = 0u64;
@@ -217,7 +215,6 @@ fn drain(
         instructions,
         throughput: instructions as f64 / (wall_ns.max(1) as f64 / 1_000.0),
         speedup_vs_1: 0.0,
-        steals,
         migrations,
     })
 }
@@ -321,13 +318,12 @@ pub fn report_to_json(r: &ParallelReport) -> String {
     s.push_str("  \"rows\": [\n");
     for (i, row) in r.rows.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"workers\": {}, \"wall_ns\": {}, \"instructions\": {}, \"throughput\": {}, \"speedup_vs_1\": {}, \"steals\": {}, \"migrations\": {}}}{}",
+            "    {{\"workers\": {}, \"wall_ns\": {}, \"instructions\": {}, \"throughput\": {}, \"speedup_vs_1\": {}, \"migrations\": {}}}{}",
             row.workers,
             row.wall_ns,
             row.instructions,
             num(row.throughput),
             num(row.speedup_vs_1),
-            row.steals,
             row.migrations,
             if i + 1 < r.rows.len() { ",\n" } else { "\n" },
         ));
@@ -376,7 +372,6 @@ mod tests {
                 instructions: 4_000_000,
                 throughput: 500.0,
                 speedup_vs_1: 1.0,
-                steals: 0,
                 migrations: 0,
             },
             ScalingRow {
@@ -385,7 +380,6 @@ mod tests {
                 instructions: 4_000_000,
                 throughput: 2000.0,
                 speedup_vs_1: 4.0,
-                steals: 9,
                 migrations: 30,
             },
         ];

@@ -89,9 +89,13 @@ pub enum VmError {
     CallInProgress,
     /// A resumable call yielded without retiring a single instruction, so
     /// driving it further could never finish it — a zero-instruction
-    /// slice, or a wedged machine. The [`Scheduler`](crate::Scheduler)
-    /// and [`ParallelExecutor`](crate::ParallelExecutor) report this
-    /// instead of spinning forever. Classified **retry-safe** by
+    /// slice, or a wedged machine. Every executor's slice driver (the
+    /// [`Scheduler`](crate::Scheduler), the
+    /// [`ParallelExecutor`](crate::ParallelExecutor) and the
+    /// [`server`](crate::server) runtime) reports this instead of
+    /// spinning forever, and leaves the call in flight: cancel it with
+    /// [`Session::cancel`](crate::Session::cancel) to reuse the session.
+    /// Classified **retry-safe** by
     /// [`RetryPolicy`](crate::server::RetryPolicy): a fresh attempt gets
     /// a fresh slice and may well complete.
     Stalled {
@@ -99,12 +103,13 @@ pub enum VmError {
         /// stopped.
         slice: u64,
     },
-    /// A worker thread panicked while driving a slice of this tenant's
-    /// call — an engine invariant violation or an injected fault
+    /// The engine panicked while an executor drove this tenant's call —
+    /// an engine invariant violation or an injected fault
     /// ([`FaultPlan`](crate::server::FaultPlan)), never an ordinary
     /// program trap (those surface as [`VmError::Trap`]). The panic was
-    /// **contained to the tenant**: the driving executor
-    /// ([`ParallelExecutor`](crate::ParallelExecutor) or the
+    /// **contained to the tenant**: the driving executor's slice driver
+    /// (the [`Scheduler`](crate::Scheduler), the
+    /// [`ParallelExecutor`](crate::ParallelExecutor) or the
     /// [`server`](crate::server) runtime) caught it, cancelled the
     /// in-flight call, and both the session and every sibling tenant
     /// remain serviceable. Classified **retry-safe** by
@@ -115,17 +120,6 @@ pub enum VmError {
         /// The panic payload, rendered to text.
         message: String,
     },
-}
-
-/// Renders a caught panic payload for [`VmError::EnginePanic`].
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 impl From<CompileError> for VmError {
@@ -222,6 +216,7 @@ impl std::error::Error for VmError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::panic_message;
 
     #[test]
     fn machine_unknown_selector_lifts_to_the_facade_variant() {

@@ -16,16 +16,17 @@
 //!   `session.call::<i64>("factorial", 12)?`, under one [`VmError`].
 //! * Execution is **resumable**: [`Session::call_start`] +
 //!   [`Session::resume`] return [`Outcome::Yielded`] when a budget runs
-//!   out, instead of abusing a step-limit error — and the cooperative
-//!   [`Scheduler`] round-robins any number of in-flight sessions with
-//!   per-tenant results and statistics bit-identical to solo runs.
-//! * Execution is **parallel**: the whole engine layer is `Send`, and
-//!   the [`ParallelExecutor`] drains any number of in-flight sessions
-//!   across a fixed pool of worker threads — same yield cadence, same
-//!   bit-identical per-tenant results and statistics, N tenants on M
-//!   cores.
-//! * Execution is **supervised**: the [`server`] module wraps the pool
-//!   in a long-lived service runtime — bounded admission with typed
+//!   out, instead of abusing a step-limit error.
+//! * One executor core drives that primitive: a slice driver that
+//!   contains panics and stalls per tenant, and one FIFO run queue. The
+//!   [`ParallelExecutor`] drains any number of in-flight sessions
+//!   through it on a fixed set of worker threads (the whole engine
+//!   layer is `Send`), and the [`Scheduler`] runs the same queue inline
+//!   on the calling thread as spawn-order round robin. Either way every
+//!   tenant's result and statistics are bit-identical to a solo run.
+//! * Execution is **supervised**: the [`server`] module drives the same
+//!   slice driver from a long-lived service runtime with its own
+//!   admission-aware run queue — bounded admission with typed
 //!   backpressure, per-request deadlines, per-tenant fuel budgets and
 //!   weighted fair scheduling, retry with capped backoff, overload
 //!   shedding, a drain that never loses a session, and a deterministic
@@ -85,15 +86,13 @@
 
 mod convert;
 mod error;
-mod pool;
-mod sched;
+mod exec;
 pub mod server;
 mod session;
 
 pub use convert::{FromWord, ToWord};
 pub use error::{Trap, VmError};
-pub use pool::{ParallelExecutor, TenantRun};
-pub use sched::{Scheduler, TaskId};
+pub use exec::{ParallelExecutor, Scheduler, TaskId, TenantRun};
 pub use session::{Outcome, Session};
 
 // The engine types an embedder meets at this boundary.

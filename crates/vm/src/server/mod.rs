@@ -1,11 +1,14 @@
 //! The service runtime: a supervised, long-lived front door over the
 //! multi-tenant engine.
 //!
-//! [`Vm`](crate::Vm)/[`Session`](crate::Session) (PR 3) made tenants
-//! cheap, the [`ParallelExecutor`](crate::ParallelExecutor) (PR 4) ran a
-//! fixed batch across worker threads, and the recoverable-trap work
-//! (PR 5) made per-tenant failure survivable. This module turns those
-//! pieces into something operable under sustained, hostile load: a
+//! [`Vm`](crate::Vm)/[`Session`](crate::Session) made tenants cheap,
+//! the [`ParallelExecutor`](crate::ParallelExecutor) runs a fixed batch
+//! across worker threads, and recoverable traps make per-tenant failure
+//! survivable. This module turns those pieces into something operable
+//! under sustained, hostile load. It keeps its own run queue of tenant
+//! mailboxes (admission, weighted turns, backoff gates and drain share
+//! one lock) and drives every call start and slice through the crate's
+//! one slice driver, the same one the batch executors use. The result is a
 //! [`Server`] that accepts an **unbounded stream** of typed requests
 //! against named sessions and enforces a service contract —
 //!
@@ -23,8 +26,8 @@
 //!   tenant; worker panics are contained per tenant
 //!   ([`VmError::EnginePanic`](crate::VmError::EnginePanic));
 //! * **Drain** — [`Server::drain`] completes or cancels everything and
-//!   returns every session: the PR 4 "no session lost" guarantee,
-//!   extended to shutdown;
+//!   returns every session: the batch executors' "no session lost"
+//!   guarantee, extended to shutdown;
 //! * **Deterministic fault injection** — [`FaultPlan`] fires chosen
 //!   faults (traps, stalls, worker panics, fuel exhaustion) on chosen
 //!   requests at chosen step counts, so robustness claims are tested by

@@ -2,7 +2,6 @@
 //! of requests against named sessions.
 
 use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -12,7 +11,7 @@ use std::time::{Duration, Instant};
 use com_core::{CycleStats, MachineError};
 use com_mem::Word;
 
-use crate::error::panic_message;
+use crate::exec;
 use crate::server::admission::{Request, Response, ServeError, SubmitError, Ticket};
 use crate::server::injector::{FaultKind, FaultPlan, InjectedFault, INJECTED_PANIC};
 use crate::server::policy::{RetryPolicy, TenantConfig};
@@ -455,7 +454,7 @@ impl Server {
                     if !t.running {
                         if let Some(job) = t.current.take() {
                             if let Some(s) = t.session.as_mut() {
-                                let _ = catch_unwind(AssertUnwindSafe(|| s.cancel()));
+                                exec::cancel(s);
                             }
                             victims.push(job);
                         }
@@ -654,9 +653,6 @@ fn claim(shared: &Shared) -> Option<(String, Session, Job, TenantConfig)> {
 fn drive_turn(shared: &Shared, cfg: TenantConfig, session: &mut Session, job: &mut Job) -> Turn {
     let policy = shared.config.retry;
     if deadline_passed(job) {
-        if session.in_flight() {
-            session.cancel();
-        }
         return deadline_turn(session, job);
     }
     if !session.in_flight() {
@@ -664,13 +660,12 @@ fn drive_turn(shared: &Shared, cfg: TenantConfig, session: &mut Session, job: &m
         job.attempts += 1;
         job.steps_used = 0;
         job.attempt_base = session.stats();
-        let started = catch_unwind(AssertUnwindSafe(|| {
-            session.call_start_with(&job.req.selector, job.req.receiver, &job.req.args)
-        }));
-        match started {
-            Ok(Ok(())) => {}
-            Ok(Err(error)) => return settle(policy, job, session, error),
-            Err(payload) => return panic_turn(policy, job, session, &*payload),
+        let req = &job.req;
+        let started = exec::contained(session, |s| {
+            s.call_start_with(&req.selector, req.receiver, &req.args)
+        });
+        if let Err(error) = started {
+            return settle(policy, job, session, error);
         }
     }
     // The fault tripwire arms on the first attempt only; retries run
@@ -698,12 +693,11 @@ fn drive_turn(shared: &Shared, cfg: TenantConfig, session: &mut Session, job: &m
         slice = slice.min(f.at_step - job.steps_used);
     }
     let before = session.stats().instructions;
-    let driven = catch_unwind(AssertUnwindSafe(|| session.resume_raw_guarded(slice)));
-    match driven {
-        Ok(Ok(Outcome::Done(word))) => {
+    match exec::contained(session, |s| exec::resume(s, slice)) {
+        Ok(Outcome::Done(word)) => {
             Turn::Respond(Ok(word), session.stats().since(&job.attempt_base))
         }
-        Ok(Ok(Outcome::Yielded)) => {
+        Ok(Outcome::Yielded) => {
             job.steps_used += session.stats().instructions - before;
             if let Some(f) = fault {
                 if job.steps_used >= f.at_step {
@@ -711,7 +705,6 @@ fn drive_turn(shared: &Shared, cfg: TenantConfig, session: &mut Session, job: &m
                 }
             }
             if deadline_passed(job) {
-                session.cancel();
                 return deadline_turn(session, job);
             }
             if job.steps_used >= fuel {
@@ -720,8 +713,7 @@ fn drive_turn(shared: &Shared, cfg: TenantConfig, session: &mut Session, job: &m
             }
             Turn::Yield
         }
-        Ok(Err(error)) => settle(policy, job, session, error),
-        Err(payload) => panic_turn(policy, job, session, &*payload),
+        Err(error) => settle(policy, job, session, error),
     }
 }
 
@@ -729,25 +721,21 @@ fn deadline_passed(job: &Job) -> bool {
     job.deadline.is_some_and(|d| Instant::now() >= d)
 }
 
-fn deadline_turn(session: &Session, job: &Job) -> Turn {
+/// Unwinds the expired request's attempt, if one is in flight. A request
+/// that expired in the queue never started: it did no work.
+fn deadline_turn(session: &mut Session, job: &Job) -> Turn {
+    session.cancel();
+    let stats = if job.attempts == 0 {
+        CycleStats::default()
+    } else {
+        session.stats().since(&job.attempt_base)
+    };
     Turn::Respond(
         Err(ServeError::DeadlineExceeded {
             waited: job.submitted.elapsed(),
         }),
-        session.stats().since(&job.attempt_base),
+        stats,
     )
-}
-
-/// A caught worker panic: contain it, cancel the wreckage, classify.
-fn panic_turn(
-    policy: RetryPolicy,
-    job: &mut Job,
-    session: &mut Session,
-    payload: &(dyn std::any::Any + Send),
-) -> Turn {
-    let message = panic_message(payload);
-    let _ = catch_unwind(AssertUnwindSafe(|| session.cancel()));
-    settle(policy, job, session, VmError::EnginePanic { message })
 }
 
 /// Fires a planned fault on its victim: unwind the in-flight call and
@@ -762,45 +750,29 @@ fn apply_fault(
 ) -> Turn {
     shared.faults_injected.fetch_add(1, Ordering::Relaxed);
     let partial = session.stats().since(&job.attempt_base);
-    match fault.kind {
+    let error = match fault.kind {
         FaultKind::Trap => {
-            session.cancel();
             let cause = MachineError::BadOperands {
                 opcode: com_isa::Opcode::DIV,
                 reason: "injected fault (FaultPlan)",
             };
-            settle(policy, job, session, VmError::trap(cause, partial))
+            VmError::trap(cause, partial)
         }
-        FaultKind::Stall => {
-            session.cancel();
-            settle(
-                policy,
-                job,
-                session,
-                VmError::Stalled {
-                    slice: shared.config.base_slice,
-                },
-            )
-        }
-        FaultKind::OutOfFuel => {
-            session.cancel();
-            settle(
-                policy,
-                job,
-                session,
-                VmError::OutOfFuel {
-                    budget: fault.at_step,
-                },
-            )
-        }
-        FaultKind::WorkerPanic => {
-            // A genuine panic-and-unwind on this worker thread, caught
-            // exactly where an organic engine panic would be.
-            let payload = catch_unwind(AssertUnwindSafe(|| panic!("{INJECTED_PANIC}")))
-                .expect_err("the closure always panics");
-            panic_turn(policy, job, session, &*payload)
-        }
-    }
+        FaultKind::Stall => VmError::Stalled {
+            slice: shared.config.base_slice,
+        },
+        FaultKind::OutOfFuel => VmError::OutOfFuel {
+            budget: fault.at_step,
+        },
+        // A genuine panic-and-unwind on this worker thread, contained by
+        // the same driver as an organic engine panic (which also cancels).
+        FaultKind::WorkerPanic => exec::contained(session, |_| -> Result<(), VmError> {
+            panic!("{INJECTED_PANIC}")
+        })
+        .expect_err("the closure always panics"),
+    };
+    session.cancel();
+    settle(policy, job, session, error)
 }
 
 /// Classifies a failed attempt: retry (gated by backoff) when the error
@@ -829,21 +801,14 @@ fn reintegrate(shared: &Shared, name: &str, mut session: Session, mut job: Job, 
     let mut finished = false;
     let keep: Option<Job> = match turn {
         Turn::Yield if !cancelling => Some(job),
-        Turn::Yield => {
-            session.cancel();
-            st.jobs -= 1;
-            st.stats.cancelled += 1;
-            finished = true;
-            deliver(job, Err(ServeError::Cancelled), cancelled_delta);
-            None
-        }
         Turn::Retry(gate) if !cancelling => {
             st.stats.retries += 1;
             job.not_before = Some(Instant::now() + gate);
             Some(job)
         }
-        Turn::Retry(_) => {
-            // The failed attempt is already unwound; shutdown wins.
+        // Shutdown wins over an in-flight or retrying request.
+        Turn::Yield | Turn::Retry(_) => {
+            session.cancel();
             st.jobs -= 1;
             st.stats.cancelled += 1;
             finished = true;

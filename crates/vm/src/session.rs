@@ -272,22 +272,6 @@ impl Session {
         }
     }
 
-    /// [`resume_raw`](Self::resume_raw) with the executors' shared
-    /// progress guard: a yield that retired no instruction can never
-    /// finish (a zero budget, or a wedged machine), so it surfaces as
-    /// [`VmError::Stalled`] instead of letting a driving loop reschedule
-    /// it forever. The engine retires ≥ 1 instruction per non-zero
-    /// budget, so a live call never trips this.
-    pub(crate) fn resume_raw_guarded(&mut self, budget: u64) -> Result<Outcome<Word>, VmError> {
-        let before = self.machine.stats().instructions;
-        match self.resume_raw(budget)? {
-            Outcome::Yielded if self.machine.stats().instructions == before => {
-                Err(VmError::Stalled { slice: budget })
-            }
-            outcome => Ok(outcome),
-        }
-    }
-
     /// Whether a resumable call is currently in flight.
     pub fn in_flight(&self) -> bool {
         self.in_flight

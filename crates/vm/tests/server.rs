@@ -398,3 +398,28 @@ fn submit_within_blocks_until_space_or_times_out() {
     drop((wedge, fill));
     let _ = server.drain(Duration::from_millis(10));
 }
+
+#[test]
+fn a_request_that_expires_in_the_queue_reports_no_work() {
+    let vm = vm();
+    let server = Server::start(vm, config(1, 8));
+    server.register("a", TenantConfig::default()).unwrap();
+    // The late request waits behind millions of instructions on the same
+    // tenant, so its 1 ms deadline passes before it can start.
+    let long = server.submit("a", Request::new("spin", 2_000_000i64));
+    let late = Request::new("spin", 3i64).deadline(Duration::from_millis(1));
+    let late = server.submit("a", late).unwrap();
+    assert!(long.unwrap().wait().is_ok());
+    let r = late.wait();
+    assert!(
+        matches!(r.outcome, Err(ServeError::DeadlineExceeded { .. })),
+        "{r:?}"
+    );
+    assert_eq!(r.attempts, 0);
+    assert_eq!(
+        r.stats,
+        CycleStats::default(),
+        "a request that never started reported the tenant's earlier work"
+    );
+    drop(server);
+}

@@ -512,8 +512,8 @@ pub fn run_on(w: &Workload, session: &mut Session, max_steps: u64) -> Result<Run
 }
 
 /// Starts a workload's entry send as a resumable call on an existing
-/// session — the form the cooperative [`com_vm::Scheduler`] and the
-/// [`com_vm::ParallelExecutor`] drain.
+/// session — the form the executors ([`com_vm::Scheduler`] inline,
+/// [`com_vm::ParallelExecutor`] across threads) drain.
 ///
 /// # Errors
 ///
