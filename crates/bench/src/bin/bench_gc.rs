@@ -6,48 +6,20 @@
 //! cargo run --release --bin bench_gc -- out.json --sizes 60,120 --repeats 1
 //! ```
 //!
-//! Compares a full-mark-sweep-only collection cadence against the
-//! generational (minor + occasional full) cadence on the `churn`
-//! workload, at several live-heap sizes. The headline metric is words
-//! scanned per word reclaimed; the acceptance bar is ≥2× in the
-//! generational configuration's favour with `run`/`run_stepwise`
-//! `CycleStats` bit-identical (asserted per size).
+//! Compares full-only against generational collection on `churn`; bar:
+//! ≥2× fewer words scanned per word freed, with `run`/`run_stepwise`
+//! `CycleStats` bit-identical. See `com_bench::gc` for the measurement
+//! and `com_bench::harness` for the paired-round protocol.
 
 use com_bench::gc::{gc_rows, rows_to_json, GcRow};
+use com_bench::harness::{write_artifact, Args, Protocol};
 use com_bench::print_table;
 
-fn parse_args() -> (String, Vec<i64>, u32) {
-    let mut out = "BENCH_gc.json".to_string();
-    let mut sizes = vec![120, 240, 480];
-    let mut repeats = 3;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--sizes" => {
-                let v = args.next().expect("--sizes needs a comma-separated list");
-                sizes = v
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("size must be an integer"))
-                    .collect();
-            }
-            "--repeats" => {
-                repeats = args
-                    .next()
-                    .expect("--repeats needs a count")
-                    .parse()
-                    .expect("repeats must be an integer");
-            }
-            other if other.starts_with("--") => {
-                panic!("unknown flag {other}; supported: --sizes a,b,c --repeats n")
-            }
-            other => out = other.to_string(),
-        }
-    }
-    (out, sizes, repeats)
-}
-
 fn main() {
-    let (out_path, sizes, repeats) = parse_args();
+    let args = Args::from_env(&["--sizes a,b,c", "--repeats n"]);
+    let out_path = args.output("BENCH_gc.json");
+    let sizes: Vec<i64> = args.list("--sizes", vec![120, 240, 480]);
+    let repeats: u32 = args.value("--repeats", 3);
     println!("gc bench — sizes {sizes:?}, {repeats} paired rounds, median kept");
 
     let rows: Vec<GcRow> =
@@ -81,9 +53,7 @@ fn main() {
         &table,
     );
 
-    let json = rows_to_json(&rows);
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
-    println!("\nwrote {out_path}");
+    write_artifact(&out_path, &rows_to_json(&rows, Protocol::new(repeats)));
 
     for r in &rows {
         let e = r.scan_efficiency();

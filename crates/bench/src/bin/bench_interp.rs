@@ -5,21 +5,19 @@
 //! cargo run --release --bin bench_interp -- out.json
 //! ```
 //!
-//! Measures nanoseconds per simulated instruction for the stepwise
-//! reference loop and the threaded hot loop (decode-time operand
-//! resolution + batched cycle accounting), per workload, both on the
-//! default machine configuration. The simulated `CycleStats` are
-//! semantics and identical across loops; only wall clock differs.
+//! Compares the stepwise reference loop against the threaded hot loop, in
+//! wall ns per simulated instruction; `CycleStats` are asserted identical
+//! across loops. See `com_bench::interp` for the measurement and
+//! `com_bench::harness` for the paired-round protocol.
 
+use com_bench::harness::{write_artifact, Args, Protocol};
 use com_bench::interp::{interp_rows, rows_to_json};
 use com_bench::print_table;
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_interp.json".to_string());
+    let out_path = Args::from_env(&[]).output("BENCH_interp.json");
     let repeats = 3;
-    println!("interpreter bench — {repeats} repeats per loop, best kept");
+    println!("interpreter bench — {repeats} paired rounds per workload, median speedup kept");
 
     let rows = interp_rows(repeats, com_workloads::MAX_STEPS)
         .unwrap_or_else(|e| panic!("bench workload failed: {e}"));
@@ -50,7 +48,5 @@ fn main() {
         &table,
     );
 
-    let json = rows_to_json(&rows);
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
-    println!("\nwrote {out_path}");
+    write_artifact(&out_path, &rows_to_json(&rows, Protocol::new(repeats)));
 }

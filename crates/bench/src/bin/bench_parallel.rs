@@ -6,61 +6,21 @@
 //! cargo run --release --bin bench_parallel -- out.json --tenants 32 --workers 1,2,4,8 --repeats 5
 //! ```
 //!
-//! Two measurements:
-//!
-//! * **Fidelity**: every tenant, at every worker count, must finish with
-//!   a result and `CycleStats` bit-identical to solo execution (asserted
-//!   exactly — a divergence aborts the bench).
-//! * **Scaling**: aggregate drain throughput at 4 workers vs 1 worker,
-//!   paired rounds, median kept. Acceptance bar: ≥ 2×. Wall-clock
-//!   scaling requires real cores; the JSON records `host_cores` and
-//!   flags `host_limited` when the machine cannot express parallelism
-//!   (1 core), so the bar is judged on capable hardware.
+//! Compares drain throughput at 4 workers against 1 (bar: ≥2×, flagged
+//! `host_limited` on fewer cores), with every tenant bit-identical to
+//! solo at every worker count. See `com_bench::parallel` for the
+//! measurement and `com_bench::harness` for the paired-round protocol.
 
-use com_bench::parallel::{report, report_to_json};
+use com_bench::harness::{write_artifact, Args};
+use com_bench::parallel::{report, report_to_json, TENANTS, WORKER_COUNTS};
 use com_bench::print_table;
 
-fn parse_args() -> (String, usize, Vec<usize>, u32) {
-    let mut out = "BENCH_parallel.json".to_string();
-    let mut tenants = com_bench::parallel::TENANTS;
-    let mut workers: Vec<usize> = com_bench::parallel::WORKER_COUNTS.to_vec();
-    let mut repeats = 5u32;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--tenants" => {
-                tenants = args
-                    .next()
-                    .expect("--tenants needs a count")
-                    .parse()
-                    .expect("tenants must be an integer");
-            }
-            "--workers" => {
-                workers = args
-                    .next()
-                    .expect("--workers needs a comma-separated list")
-                    .split(',')
-                    .map(|w| w.parse().expect("worker counts must be integers"))
-                    .collect();
-            }
-            "--repeats" => {
-                repeats = args
-                    .next()
-                    .expect("--repeats needs a count")
-                    .parse()
-                    .expect("repeats must be an integer");
-            }
-            other if other.starts_with("--") => {
-                panic!("unknown flag {other}; supported: --tenants n --workers a,b,c --repeats n")
-            }
-            other => out = other.to_string(),
-        }
-    }
-    (out, tenants, workers, repeats)
-}
-
 fn main() {
-    let (out_path, tenants, workers, repeats) = parse_args();
+    let args = Args::from_env(&["--tenants n", "--workers a,b,c", "--repeats n"]);
+    let out_path = args.output("BENCH_parallel.json");
+    let tenants: usize = args.value("--tenants", TENANTS);
+    let workers: Vec<usize> = args.list("--workers", WORKER_COUNTS.to_vec());
+    let repeats: u32 = args.value("--repeats", 5);
     println!(
         "parallel bench — {tenants} tenants over workers {workers:?}, {repeats} paired rounds, median kept"
     );
@@ -105,7 +65,7 @@ fn main() {
         "scaling: {:.2}x at {} workers on a {}-core host {}",
         r.headline_speedup(),
         r.headline_workers(),
-        r.host_cores,
+        r.protocol.host_cores,
         if r.target_met() {
             "(target ≥2x: MET)"
         } else if r.host_limited() {
@@ -115,7 +75,5 @@ fn main() {
         }
     );
 
-    let json = report_to_json(&r);
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
-    println!("\nwrote {out_path}");
+    write_artifact(&out_path, &report_to_json(&r));
 }

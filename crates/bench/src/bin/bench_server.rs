@@ -6,60 +6,24 @@
 //! cargo run --release --bin bench_server -- out.json --tenants 1000 --workers 4 --repeats 5
 //! ```
 //!
-//! Paired phases per round — the identical tenant/request schedule
-//! fault-free and under a seeded 1% fault plan (traps, stalls, worker
-//! panics, fuel exhaustion) — median p99-ratio round kept. Acceptance
-//! bar: `p99_with_faults ≤ 2 × p99_without`. The JSON records
-//! `host_cores`/`host_limited` honestly; the ratio bar is judged on the
-//! ratio precisely because both phases share whatever hardware limits
-//! exist.
+//! Compares p99 latency fault-free against a seeded 1% fault plan on the
+//! same schedule; the bar, asserted here, is
+//! `p99_with_faults ≤ 2 × p99_without`. See `com_bench::server` for the
+//! measurement and `com_bench::harness` for the paired-round protocol.
 
+use com_bench::harness::{write_artifact, Args};
 use com_bench::print_table;
-use com_bench::server::{report, report_to_json};
-
-fn parse_args() -> (String, usize, usize, u32) {
-    let mut out = "BENCH_server.json".to_string();
-    let mut tenants = com_bench::server::TENANTS;
-    let mut workers = com_bench::server::WORKERS;
-    let mut repeats = 5u32;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--tenants" => {
-                tenants = args
-                    .next()
-                    .expect("--tenants needs a count")
-                    .parse()
-                    .expect("tenants must be an integer");
-            }
-            "--workers" => {
-                workers = args
-                    .next()
-                    .expect("--workers needs a count")
-                    .parse()
-                    .expect("workers must be an integer");
-            }
-            "--repeats" => {
-                repeats = args
-                    .next()
-                    .expect("--repeats needs a count")
-                    .parse()
-                    .expect("repeats must be an integer");
-            }
-            other if other.starts_with("--") => {
-                panic!("unknown flag {other}; supported: --tenants n --workers n --repeats n")
-            }
-            other => out = other.to_string(),
-        }
-    }
-    (out, tenants, workers, repeats)
-}
+use com_bench::server::{report, report_to_json, REQUESTS_PER_TENANT, TENANTS, WORKERS};
 
 fn main() {
-    let (out_path, tenants, workers, repeats) = parse_args();
+    let args = Args::from_env(&["--tenants n", "--workers n", "--repeats n"]);
+    let out_path = args.output("BENCH_server.json");
+    let tenants: usize = args.value("--tenants", TENANTS);
+    let workers: usize = args.value("--workers", WORKERS);
+    let repeats: u32 = args.value("--repeats", 5);
     println!(
         "server bench — {tenants} tenants x {} requests over {workers} workers, {repeats} paired rounds, median p99-ratio kept",
-        com_bench::server::REQUESTS_PER_TENANT,
+        REQUESTS_PER_TENANT,
     );
 
     let r =
@@ -102,7 +66,7 @@ fn main() {
         r.without.p99_us,
         r.with_faults.p99_us,
         r.p99_ratio(),
-        r.host_cores,
+        r.protocol.host_cores,
         if r.target_met() {
             "(target ≤2x: MET)"
         } else {
@@ -115,9 +79,7 @@ fn main() {
         );
     }
 
-    let json = report_to_json(&r);
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
-    println!("\nwrote {out_path}");
+    write_artifact(&out_path, &report_to_json(&r));
     assert!(
         r.target_met(),
         "acceptance: p99 with faults must stay within 2x of fault-free (got {:.2}x)",

@@ -6,50 +6,20 @@
 //! cargo run --release --bin bench_sessions -- out.json --sessions 16 --repeats 5
 //! ```
 //!
-//! Two measurements:
-//!
-//! * **Spin-up** (paired-median wall clock): a tenant `Session` over the
-//!   shared pre-decoded image vs a fresh compile + load of the same
-//!   program. Acceptance bar: ≥ 10× cheaper.
-//! * **Round-robin fidelity**: N tenants interleaved by the cooperative
-//!   scheduler must finish every workload with results and `CycleStats`
-//!   bit-identical to sequential execution (asserted exactly).
+//! Compares shared-image `session()` spin-up against a fresh compile +
+//! load (bar: ≥10× cheaper), and round-robin tenants bit-identical to
+//! sequential runs. See `com_bench::sessions` for the measurement and
+//! `com_bench::harness` for the paired-round protocol.
 
+use com_bench::harness::{write_artifact, Args};
 use com_bench::print_table;
 use com_bench::sessions::{report, report_to_json};
 
-fn parse_args() -> (String, usize, u32) {
-    let mut out = "BENCH_sessions.json".to_string();
-    let mut sessions = 16usize;
-    let mut repeats = 5u32;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--sessions" => {
-                sessions = args
-                    .next()
-                    .expect("--sessions needs a count")
-                    .parse()
-                    .expect("sessions must be an integer");
-            }
-            "--repeats" => {
-                repeats = args
-                    .next()
-                    .expect("--repeats needs a count")
-                    .parse()
-                    .expect("repeats must be an integer");
-            }
-            other if other.starts_with("--") => {
-                panic!("unknown flag {other}; supported: --sessions n --repeats n")
-            }
-            other => out = other.to_string(),
-        }
-    }
-    (out, sessions, repeats)
-}
-
 fn main() {
-    let (out_path, sessions, repeats) = parse_args();
+    let args = Args::from_env(&["--sessions n", "--repeats n"]);
+    let out_path = args.output("BENCH_sessions.json");
+    let sessions: usize = args.value("--sessions", 16);
+    let repeats: u32 = args.value("--repeats", 5);
     println!("sessions bench — {sessions} tenants, {repeats} paired spin-up rounds, median kept");
 
     let r = report(sessions, repeats).unwrap_or_else(|e| panic!("sessions bench failed: {e}"));
@@ -104,8 +74,6 @@ fn main() {
         }
     );
 
-    let json = report_to_json(&r);
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
-    println!("\nwrote {out_path}");
+    write_artifact(&out_path, &report_to_json(&r));
     assert!(r.all_match(), "round-robin diverged from sequential");
 }

@@ -17,10 +17,9 @@
 //! architectural cost of the collector per unit of useful work. The
 //! acceptance bar: the generational configuration spends ≥2× fewer scanned
 //! words per freed word, and its per-collection scan stays flat as the
-//! live heap grows (sublinearity). Wall clock is reported with the same
-//! paired-median protocol as `BENCH_interp.json`: each round times both
-//! configurations back to back, and the round with the median ratio is
-//! reported.
+//! live heap grows (sublinearity). Wall clock follows the
+//! [paired-round protocol](crate::harness), keyed on the full-over-
+//! generational wall ratio.
 //!
 //! Architectural integrity is asserted, not assumed: for every size the
 //! generational configuration is run through both interpreter loops and
@@ -28,10 +27,10 @@
 
 use std::time::Instant;
 
-use com_core::{GcTotals, Machine, MachineConfig, MachineError, RunResult};
-use com_mem::Word;
-use com_stc::{compile_com, CompileOptions};
+use com_core::{GcTotals, MachineConfig, MachineError, RunResult};
 use com_workloads::{Workload, CHURN};
+
+use crate::harness::{artifact, boot, geomean, paired_rounds, send, Protocol};
 
 /// The shared collection cadence (prime, so collections land mid-burst).
 pub const MINOR_INTERVAL: u64 = 1009;
@@ -54,6 +53,16 @@ pub struct GcMeasure {
 }
 
 impl GcMeasure {
+    fn new(t: GcTotals, wall_ns: u64) -> GcMeasure {
+        GcMeasure {
+            collections: t.full_collections + t.minor_collections,
+            minor_collections: t.minor_collections,
+            words_scanned: t.words_scanned(),
+            words_freed: t.words_freed(),
+            wall_ns,
+        }
+    }
+
     /// Words scanned per word reclaimed — the collector's unit cost.
     pub fn scanned_per_freed(&self) -> f64 {
         self.words_scanned as f64 / self.words_freed.max(1) as f64
@@ -125,35 +134,16 @@ fn run_once(
     cfg: MachineConfig,
     stepwise: bool,
 ) -> Result<(RunResult, GcTotals, u64, u64), MachineError> {
-    let image = compile_com(w.source, CompileOptions::default())
-        .unwrap_or_else(|e| panic!("workload {} failed to compile: {e}", w.name));
-    let mut m = Machine::new(cfg);
-    m.load(&image)?;
-    let sel = m
-        .opcodes()
-        .get(w.entry)
-        .unwrap_or_else(|| panic!("entry {} not interned", w.entry));
-    m.start_send(sel, Word::Int(w.size), &[])?;
+    let mut m = boot(w, cfg)?;
     let t0 = Instant::now();
-    let out = if stepwise {
-        m.run_stepwise(com_workloads::MAX_STEPS)?
-    } else {
-        m.run(com_workloads::MAX_STEPS)?
-    };
+    let out = send(&mut m, w, stepwise, com_workloads::MAX_STEPS)?;
     let wall_ns = t0.elapsed().as_nanos() as u64;
-    assert_eq!(
-        out.result,
-        Word::Int(w.expected),
-        "{} self-check failed at size {}",
-        w.name,
-        w.size
-    );
     let live = m.space().memory().buddy().allocated_words();
     Ok((out, m.gc_totals(), live, wall_ns))
 }
 
 /// Measures one churn size under both configurations with the
-/// paired-median wall protocol, asserting the threaded and stepwise loops
+/// paired-round wall protocol, asserting the threaded and stepwise loops
 /// stay bit-identical under the generational cadence.
 ///
 /// # Errors
@@ -181,39 +171,20 @@ pub fn measure_size(size: i64, repeats: u32) -> Result<GcRow, MachineError> {
         "collections must actually run at size {size}"
     );
 
-    // Paired wall rounds: time full then generational under the same
-    // conditions; keep the round with the median ratio.
-    let mut rounds: Vec<(u64, u64)> = Vec::new();
-    for _ in 0..repeats.max(1) {
-        let (_, _, _, full_ns) = run_once(&w, full_config(), false)?;
-        let (_, _, _, gen_ns) = run_once(&w, generational_config(), false)?;
-        rounds.push((full_ns, gen_ns));
-    }
-    rounds.sort_by(|a, b| {
-        let ra = a.0 as f64 / a.1.max(1) as f64;
-        let rb = b.0 as f64 / b.1.max(1) as f64;
-        ra.partial_cmp(&rb).expect("finite ratios")
-    });
-    let (full_ns, gen_ns) = rounds[rounds.len() / 2];
+    let configs = [full_config(), generational_config()];
+    let round = paired_rounds(
+        repeats,
+        2,
+        |a| run_once(&w, configs[a], false).map(|(.., ns)| ns),
+        |r| r[0] as f64 / r[1].max(1) as f64,
+    )?;
 
     Ok(GcRow {
         size,
         live_words,
         instructions: full_out.stats.instructions,
-        full: GcMeasure {
-            collections: full_totals.full_collections + full_totals.minor_collections,
-            minor_collections: full_totals.minor_collections,
-            words_scanned: full_totals.words_scanned(),
-            words_freed: full_totals.words_freed(),
-            wall_ns: full_ns,
-        },
-        generational: GcMeasure {
-            collections: gen_totals.full_collections + gen_totals.minor_collections,
-            minor_collections: gen_totals.minor_collections,
-            words_scanned: gen_totals.words_scanned(),
-            words_freed: gen_totals.words_freed(),
-            wall_ns: gen_ns,
-        },
+        full: GcMeasure::new(full_totals, round[0]),
+        generational: GcMeasure::new(gen_totals, round[1]),
     })
 }
 
@@ -227,57 +198,55 @@ pub fn gc_rows(sizes: &[i64], repeats: u32) -> Result<Vec<GcRow>, MachineError> 
 }
 
 /// Renders the rows as the machine-readable `BENCH_gc.json` document.
-pub fn rows_to_json(rows: &[GcRow]) -> String {
-    fn num(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x:.3}")
-        } else {
-            "null".to_string()
-        }
-    }
-    let mut s = String::new();
-    s.push_str("{\n  \"bench\": \"gc\",\n  \"schema\": 1,\n");
-    s.push_str(&format!(
-        "  \"protocol\": {{\"workload\": \"churn\", \"minor_interval\": {MINOR_INTERVAL}, \"full_factor\": {FULL_FACTOR}}},\n"
-    ));
-    s.push_str("  \"unit\": {\"scanned_per_freed\": \"mark-phase words scanned per word of storage reclaimed\", \"scan_efficiency\": \"full scanned_per_freed over generational scanned_per_freed\"},\n");
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"size\": {}, \"live_words\": {}, \"instructions\": {},\n",
-            r.size, r.live_words, r.instructions
-        ));
-        for (label, m) in [("full", r.full), ("generational", r.generational)] {
-            s.push_str(&format!(
-                "     \"{}\": {{\"collections\": {}, \"minor_collections\": {}, \"words_scanned\": {}, \"words_freed\": {}, \"scanned_per_freed\": {}, \"scanned_per_collection\": {}, \"wall_ns\": {}}},\n",
-                label,
-                m.collections,
-                m.minor_collections,
-                m.words_scanned,
-                m.words_freed,
-                num(m.scanned_per_freed()),
-                num(m.scanned_per_collection()),
-                m.wall_ns,
-            ));
-        }
-        s.push_str(&format!(
-            "     \"scan_efficiency\": {}}}",
-            num(r.scan_efficiency())
-        ));
-        s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
-    let geomean = if rows.is_empty() {
-        f64::NAN
-    } else {
-        (rows.iter().map(|r| r.scan_efficiency().ln()).sum::<f64>() / rows.len() as f64).exp()
-    };
-    s.push_str(&format!(
-        "  \"summary\": {{\"geomean_scan_efficiency\": {}, \"target_2x_met\": {}}}\n}}\n",
-        num(geomean),
-        rows.iter().all(|r| r.scan_efficiency() >= 2.0),
-    ));
-    s
+pub fn rows_to_json(rows: &[GcRow], protocol: Protocol) -> String {
+    artifact(
+        "gc",
+        protocol,
+        |j| {
+            j.field("workload", "churn")
+                .field("minor_interval", MINOR_INTERVAL)
+                .field("full_factor", FULL_FACTOR);
+        },
+        |j| {
+            j.key("unit").object(|j| {
+                j.field(
+                    "scanned_per_freed",
+                    "mark-phase words scanned per word of storage reclaimed",
+                )
+                .field(
+                    "scan_efficiency",
+                    "full scanned_per_freed over generational scanned_per_freed",
+                );
+            });
+            j.key("rows").array(|j| {
+                for r in rows {
+                    j.object(|j| {
+                        j.field("size", r.size)
+                            .field("live_words", r.live_words)
+                            .field("instructions", r.instructions);
+                        for (label, m) in [("full", r.full), ("generational", r.generational)] {
+                            j.key(label).object(|j| {
+                                j.field("collections", m.collections)
+                                    .field("minor_collections", m.minor_collections)
+                                    .field("words_scanned", m.words_scanned)
+                                    .field("words_freed", m.words_freed)
+                                    .field("scanned_per_freed", m.scanned_per_freed())
+                                    .field("scanned_per_collection", m.scanned_per_collection())
+                                    .field("wall_ns", m.wall_ns);
+                            });
+                        }
+                        j.field("scan_efficiency", r.scan_efficiency());
+                    });
+                }
+            });
+            let geomean = geomean(rows.iter().map(GcRow::scan_efficiency));
+            let met = rows.iter().all(|r| r.scan_efficiency() >= 2.0);
+            j.key("summary").object(|j| {
+                j.field("geomean_scan_efficiency", geomean)
+                    .field("target_2x_met", met);
+            });
+        },
+    )
 }
 
 #[cfg(test)]
@@ -314,7 +283,7 @@ mod tests {
             full: m,
             generational: g,
         }];
-        let j = rows_to_json(&rows);
+        let j = rows_to_json(&rows, Protocol::new(1));
         assert!(j.contains("\"scan_efficiency\": 5.000"));
         assert!(j.contains("\"target_2x_met\": true"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());

@@ -14,30 +14,22 @@
 //! speedup isolates the loop itself. Full `CycleStats` are asserted equal
 //! between the two on every workload; the *simulated* cycle counts are
 //! semantics and do not change with interpreter speed (see
-//! `com_core::machine` module docs). The end-to-end no-regression gate
-//! for the hot path is the `perfbench` `interp` workload, not this
-//! speedup.
+//! `com_core::machine` module docs). Wall clock follows the
+//! [paired-round protocol](crate::harness), keyed on the speedup. The
+//! end-to-end no-regression gate for the hot path is the `perfbench`
+//! `interp` workload, not this speedup.
 
 use std::time::Instant;
 
 use com_core::{Machine, MachineConfig, MachineError, RunResult};
-use com_mem::Word;
-use com_stc::{compile_com, CompileOptions};
 use com_workloads::{self as workloads, Workload};
 
-/// Which interpreter loop a measurement exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Loop {
-    /// The stepwise reference loop.
-    Baseline,
-    /// The threaded hot loop.
-    Threaded,
-}
+use crate::harness::{artifact, boot, geomean, paired_rounds, send, Protocol};
 
 /// One timed run.
 #[derive(Debug, Clone, Copy)]
 pub struct Sample {
-    /// Wall-clock nanoseconds for the run (best of the measured repeats).
+    /// Wall-clock nanoseconds per send in the median paired round.
     pub wall_ns: u64,
     /// Simulated instructions executed.
     pub instructions: u64,
@@ -75,39 +67,13 @@ impl Row {
     }
 }
 
-fn run_send(
-    m: &mut Machine,
-    w: &Workload,
-    l: Loop,
-    max_steps: u64,
-) -> Result<RunResult, MachineError> {
-    let sel = m
-        .opcodes()
-        .get(w.entry)
-        .unwrap_or_else(|| panic!("entry {} not interned", w.entry));
-    m.start_send(sel, Word::Int(w.size), &[])?;
-    let out = match l {
-        Loop::Baseline => m.run_stepwise(max_steps)?,
-        Loop::Threaded => m.run(max_steps)?,
-    };
-    assert_eq!(
-        out.result,
-        Word::Int(w.expected),
-        "{} self-check failed under {l:?}",
-        w.name
-    );
-    Ok(out)
-}
-
-/// Steady-state paired measurement of `w` under both loops.
+/// Steady-state paired measurement of `w` under both loops, as the row
+/// `name`.
 ///
-/// One warm machine per loop; then `repeats` rounds, each timing one
-/// window of sends on the baseline machine immediately followed by one on
-/// the threaded machine. Pairing the windows cancels machine-wide noise
-/// (frequency scaling, neighbours): each round yields a speedup under the
-/// same conditions, and the reported row is the round with the median
-/// speedup. Steady state is the honest regime for a hot-loop bench —
-/// translation caches resident, the decoded slab warm.
+/// One warm machine per loop; then `repeats` paired rounds, each timing
+/// one window of sends on either machine, keyed on the speedup. Steady
+/// state is the honest regime for a hot-loop bench — translation caches
+/// resident, the decoded slab warm.
 ///
 /// # Errors
 ///
@@ -118,20 +84,18 @@ fn run_send(
 /// Panics if the workload miscompiles, fails its self-check, or executes
 /// different instruction counts under the two loops.
 pub fn measure_paired(
+    name: &'static str,
     w: &Workload,
     repeats: u32,
     max_steps: u64,
-) -> Result<(Sample, Sample, RunResult), MachineError> {
-    let image = compile_com(w.source, CompileOptions::default())
-        .unwrap_or_else(|e| panic!("workload {} failed to compile: {e}", w.name));
+) -> Result<Row, MachineError> {
     let mut machines = Vec::new();
     let mut per_send = 0;
     let mut warm_stats = None;
-    for l in [Loop::Baseline, Loop::Threaded] {
-        let mut m = Machine::new(MachineConfig::default());
-        m.load(&image)?;
+    for stepwise in [true, false] {
+        let mut m = boot(w, MachineConfig::default())?;
         // Warmup: residency established, first-touch page faults taken.
-        let warm = run_send(&mut m, w, l, max_steps)?;
+        let warm = send(&mut m, w, stepwise, max_steps)?;
         // The two loops must simulate the *same* architectural work —
         // full CycleStats, not just instruction counts.
         if let Some(prev) = warm_stats {
@@ -148,42 +112,34 @@ pub fn measure_paired(
     // Windows of at least ~100k simulated instructions, so a timed region
     // is well past timer jitter.
     let inner = (100_000 / per_send).clamp(2, 64) as u32;
-    let window = |m: &mut Machine, l: Loop| -> Result<(u64, RunResult), MachineError> {
+    // Both machines have run the same sends when the rounds end, and the
+    // loops simulate identically, so the last send's stats give the CPI.
+    let mut last = None;
+    let mut window = |m: &mut Machine, stepwise: bool| -> Result<u64, MachineError> {
         let t0 = Instant::now();
-        let mut last = None;
         for _ in 0..inner {
-            last = Some(run_send(m, w, l, max_steps)?);
+            last = Some(send(m, w, stepwise, max_steps)?);
         }
-        Ok((
-            t0.elapsed().as_nanos() as u64 / u64::from(inner),
-            last.expect("inner >= 1"),
-        ))
+        Ok(t0.elapsed().as_nanos() as u64 / u64::from(inner))
     };
-    let mut rounds = Vec::new();
-    let mut out = None;
-    for _ in 0..repeats.max(1) {
-        let (base_ns, _) = window(&mut machines[0], Loop::Baseline)?;
-        let (fast_ns, o) = window(&mut machines[1], Loop::Threaded)?;
-        rounds.push((base_ns, fast_ns));
-        out = Some(o);
-    }
-    rounds.sort_by(|a, b| {
-        let ra = a.0 as f64 / a.1 as f64;
-        let rb = b.0 as f64 / b.1 as f64;
-        ra.partial_cmp(&rb).expect("finite ratios")
-    });
-    let (base_ns, fast_ns) = rounds[rounds.len() / 2];
-    Ok((
-        Sample {
-            wall_ns: base_ns,
-            instructions: per_send,
-        },
-        Sample {
-            wall_ns: fast_ns,
-            instructions: per_send,
-        },
-        out.expect("at least one round"),
-    ))
+    let round = paired_rounds(
+        repeats,
+        2,
+        |a| window(&mut machines[a], a == 0),
+        |r| r[0] as f64 / r[1] as f64,
+    )?;
+    let sample = |wall_ns| Sample {
+        wall_ns,
+        instructions: per_send,
+    };
+    let last: RunResult = last.expect("at least one round");
+    let cpi = last.stats.cpi().unwrap_or(f64::NAN);
+    Ok(Row {
+        name,
+        baseline: sample(round[0]),
+        threaded: sample(round[1]),
+        cpi,
+    })
 }
 
 /// The bench rows: experiment-named workloads. `tab_call_cost` is the
@@ -210,62 +166,45 @@ pub fn bench_workloads() -> Vec<(&'static str, Workload)> {
 ///
 /// Panics if a workload's architectural result diverges between loops.
 pub fn interp_rows(repeats: u32, max_steps: u64) -> Result<Vec<Row>, MachineError> {
-    let mut rows = Vec::new();
-    for (name, w) in bench_workloads() {
-        let (base, fast, fast_out) = measure_paired(&w, repeats, max_steps)?;
-        rows.push(Row {
-            name,
-            baseline: base,
-            threaded: fast,
-            cpi: fast_out.stats.cpi().unwrap_or(f64::NAN),
-        });
-    }
-    Ok(rows)
+    bench_workloads()
+        .iter()
+        .map(|(name, w)| measure_paired(name, w, repeats, max_steps))
+        .collect()
 }
 
 /// Renders the rows as the machine-readable `BENCH_interp.json` document.
-pub fn rows_to_json(rows: &[Row]) -> String {
-    fn num(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x:.3}")
-        } else {
-            "null".to_string()
-        }
-    }
-    let mut s = String::new();
-    s.push_str("{\n  \"bench\": \"interp\",\n  \"schema\": 1,\n");
-    s.push_str("  \"unit\": {\"ns_per_instr\": \"wall nanoseconds per simulated instruction\", \"instr_per_sec\": \"simulated instructions per wall second\"},\n");
-    s.push_str("  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"instructions\": {}, \"cpi_simulated\": {},\n",
-            r.name,
-            r.baseline.instructions,
-            num(r.cpi)
-        ));
-        for (label, smp) in [("baseline", r.baseline), ("threaded", r.threaded)] {
-            s.push_str(&format!(
-                "     \"{}\": {{\"wall_ns\": {}, \"ns_per_instr\": {}, \"instr_per_sec\": {}}},\n",
-                label,
-                smp.wall_ns,
-                num(smp.ns_per_instr()),
-                num(smp.instr_per_sec())
-            ));
-        }
-        s.push_str(&format!("     \"speedup\": {}}}", num(r.speedup())));
-        s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
-    let geomean = if rows.is_empty() {
-        f64::NAN
-    } else {
-        (rows.iter().map(|r| r.speedup().ln()).sum::<f64>() / rows.len() as f64).exp()
-    };
-    s.push_str(&format!(
-        "  \"summary\": {{\"geomean_speedup\": {}}}\n}}\n",
-        num(geomean)
-    ));
-    s
+pub fn rows_to_json(rows: &[Row], protocol: Protocol) -> String {
+    artifact(
+        "interp",
+        protocol,
+        |_| {},
+        |j| {
+            j.key("unit").object(|j| {
+                j.field("ns_per_instr", "wall nanoseconds per simulated instruction")
+                    .field("instr_per_sec", "simulated instructions per wall second");
+            });
+            j.key("workloads").array(|j| {
+                for r in rows {
+                    j.object(|j| {
+                        j.field("name", r.name)
+                            .field("instructions", r.baseline.instructions)
+                            .field("cpi_simulated", r.cpi);
+                        for (label, smp) in [("baseline", r.baseline), ("threaded", r.threaded)] {
+                            j.key(label).object(|j| {
+                                j.field("wall_ns", smp.wall_ns)
+                                    .field("ns_per_instr", smp.ns_per_instr())
+                                    .field("instr_per_sec", smp.instr_per_sec());
+                            });
+                        }
+                        j.field("speedup", r.speedup());
+                    });
+                }
+            });
+            j.key("summary").object(|j| {
+                j.field("geomean_speedup", geomean(rows.iter().map(Row::speedup)));
+            });
+        },
+    )
 }
 
 #[cfg(test)]
@@ -286,7 +225,7 @@ mod tests {
             },
             cpi: 2.5,
         }];
-        let j = rows_to_json(&rows);
+        let j = rows_to_json(&rows, Protocol::new(3));
         assert!(j.contains("\"speedup\": 2.000"));
         assert!(j.contains("\"geomean_speedup\": 2.000"));
         assert!(j.contains("\"tab_call_cost\""));

@@ -1,10 +1,12 @@
 //! Experiment harness support: shared trace construction and report
-//! formatting for the figure/table binaries (see `src/bin/`).
+//! formatting for the figure/table binaries (see `src/bin/`), and the five
+//! wall-clock bench pipelines with the [`harness`] they share.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod gc;
+pub mod harness;
 pub mod interp;
 pub mod parallel;
 pub mod server;
@@ -34,22 +36,6 @@ pub fn merged_fith_trace() -> Trace {
         merged.extend(&t);
     }
     merged
-}
-
-/// Per-workload Fith traces with names.
-///
-/// # Panics
-///
-/// Panics if any workload fails.
-pub fn per_workload_traces() -> Vec<(&'static str, Trace)> {
-    workloads::portable()
-        .iter()
-        .map(|w| {
-            let (t, _) = workloads::trace_fith(w, workloads::MAX_STEPS)
-                .unwrap_or_else(|e| panic!("{} failed: {e}", w.name));
-            (w.name, t)
-        })
-        .collect()
 }
 
 /// Prints a markdown-style table.

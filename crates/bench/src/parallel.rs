@@ -3,8 +3,9 @@
 //! Measures the two claims the [`com_vm::ParallelExecutor`] makes:
 //!
 //! 1. **Fidelity** — draining N mixed tenants across a worker pool must
-//!    leave every tenant's result *and* [`CycleStats`] bit-identical to
-//!    solo execution, at every worker count. Isolation is architectural,
+//!    leave every tenant's result *and*
+//!    [`CycleStats`](com_core::CycleStats) bit-identical to solo
+//!    execution, at every worker count. Isolation is architectural,
 //!    so this is asserted exactly, not approximately — and it is what
 //!    makes the throughput comparison meaningful: every configuration
 //!    retires the *same* total instruction stream.
@@ -17,18 +18,18 @@
 //!    a hardware cap is distinguishable from a missed target on capable
 //!    hardware.
 //!
-//! Protocol: paired rounds, like the other three pipelines. Each round
-//! boots and starts the full tenant set per worker count and times only
-//! the drain, all worker counts back to back; the reported round is the
-//! one with the median 4-vs-1 speedup.
+//! Wall clock follows the [paired-round protocol](crate::harness) with one
+//! arm per worker count, keyed on the headline speedup. Each arm boots and
+//! starts the full tenant set untimed and times only the drain. Speedups
+//! divide by the same round's 1-worker drain, whichever order the round
+//! ran its arms in.
 
 use std::time::Instant;
 
-use com_core::{CycleStats, MachineConfig, RunResult};
-use com_mem::Word;
-use com_stc::CompileOptions;
-use com_vm::{ParallelExecutor, Session, Vm, VmError};
+use com_vm::{ParallelExecutor, VmError};
 use com_workloads::{self as workloads, Workload};
+
+use crate::harness::{artifact, paired_rounds, Protocol, Tenants};
 
 /// Instruction slice per resume (same cadence as the sessions bench).
 pub const SLICE_STEPS: u64 = 5_000;
@@ -72,6 +73,11 @@ pub struct ScalingRow {
     pub migrations: u64,
 }
 
+/// `row`'s speedup over the 1-worker drain `one`.
+fn speedup(one: &ScalingRow, row: &ScalingRow) -> f64 {
+    one.wall_ns.max(1) as f64 / row.wall_ns.max(1) as f64
+}
+
 /// The row the acceptance bar reads: 4 workers when measured, else the
 /// highest worker count. Every consumer of "the headline number" (the
 /// report summary, the round-median selection, the binary's printout)
@@ -87,10 +93,8 @@ pub struct ParallelReport {
     pub rows: Vec<ScalingRow>,
     /// Tenants per drain.
     pub tenants: usize,
-    /// Paired rounds timed.
-    pub rounds: u32,
-    /// Cores the host exposes (`std::thread::available_parallelism`).
-    pub host_cores: usize,
+    /// Paired rounds timed and the host's cores.
+    pub protocol: Protocol,
     /// Whether every tenant, at every worker count, matched its solo
     /// baseline bit-for-bit (result and `CycleStats`).
     pub all_match: bool,
@@ -118,63 +122,16 @@ impl ParallelReport {
     /// zero overhead, so the ≥2× bar is unreachable in practice). On
     /// such hosts an unmet target is a hardware cap, not a regression.
     pub fn host_limited(&self) -> bool {
-        self.host_cores < self.headline_workers()
+        self.protocol.host_cores < self.headline_workers()
     }
-}
-
-/// Per-tenant workload pick: tenants cycle through the mixed set.
-fn pick(i: usize, set: &[Workload]) -> &Workload {
-    &set[i % set.len()]
-}
-
-/// Boots one Vm per workload (separate images — tenants share an image
-/// with the other tenants of the same workload, as a server would).
-fn build_vms(set: &[Workload]) -> Vec<Vm> {
-    set.iter()
-        .map(|w| workloads::vm_for(w, MachineConfig::default(), CompileOptions::default()))
-        .collect()
-}
-
-/// Solo reference outcomes, one per workload in the set.
-fn solo_baselines(set: &[Workload], vms: &[Vm]) -> Result<Vec<(Word, CycleStats)>, VmError> {
-    set.iter()
-        .zip(vms)
-        .map(|(w, vm)| {
-            let mut s: Session = vm.session()?;
-            let out: RunResult = workloads::run_on(w, &mut s, workloads::MAX_STEPS)?;
-            assert_eq!(
-                out.result,
-                Word::Int(w.expected),
-                "{} failed its self-check solo",
-                w.name
-            );
-            Ok((out.result, out.stats))
-        })
-        .collect()
-}
-
-/// Boots and starts the full tenant set (outside the timed region: boot
-/// cost is the sessions bench's subject, not this one's).
-fn started_tenants(tenants: usize, set: &[Workload], vms: &[Vm]) -> Result<Vec<Session>, VmError> {
-    (0..tenants)
-        .map(|i| {
-            let mut s = vms[i % set.len()].session()?;
-            workloads::start_on(pick(i, set), &mut s)?;
-            Ok(s)
-        })
-        .collect()
 }
 
 /// One timed drain at one worker count; returns the row (speedup filled
 /// in by the caller) after asserting every tenant against its baseline.
-fn drain(
-    workers: usize,
-    tenants: usize,
-    set: &[Workload],
-    vms: &[Vm],
-    baselines: &[(Word, CycleStats)],
-) -> Result<ScalingRow, VmError> {
-    let sessions = started_tenants(tenants, set, vms)?;
+fn drain(workers: usize, tenants: usize, set: &Tenants) -> Result<ScalingRow, VmError> {
+    // Boot stays outside the timed region: it is the sessions bench's
+    // subject, not this one's.
+    let sessions = set.started(tenants)?;
     let pool = ParallelExecutor::new(workers, SLICE_STEPS);
     let t0 = Instant::now();
     let runs = pool.run(sessions);
@@ -182,8 +139,8 @@ fn drain(
     let mut instructions = 0u64;
     let mut migrations = 0u64;
     for (i, run) in runs.iter().enumerate() {
-        let (expected_result, expected_stats) = &baselines[i % set.len()];
-        let w = pick(i, set);
+        let (expected_result, expected_stats) = set.solo(i);
+        let w = set.workload(i);
         assert!(
             run.error.is_none(),
             "{} (tenant {i}) trapped at {workers} workers: {:?}",
@@ -240,109 +197,80 @@ pub fn report(
         Some(&1),
         "worker counts must start at 1 (the speedup denominator)"
     );
-    let set = tenant_workloads();
-    let vms = build_vms(&set);
-    let baselines = solo_baselines(&set, &vms)?;
+    let set = Tenants::new(tenant_workloads())?;
 
     // Warm up: one small drain per worker count (thread spawn paths,
     // allocator, lazy statics).
     for &w in worker_counts {
-        drain(w, set.len().min(tenants), &set, &vms, &baselines)?;
+        drain(w, set.workloads.len().min(tenants), &set)?;
     }
 
-    let mut rounds: Vec<Vec<ScalingRow>> = Vec::new();
-    for _ in 0..repeats.max(1) {
-        let mut round = Vec::new();
-        for &w in worker_counts {
-            round.push(drain(w, tenants, &set, &vms, &baselines)?);
-        }
-        let base_ns = round[0].wall_ns.max(1) as f64;
-        for row in &mut round {
-            row.speedup_vs_1 = base_ns / row.wall_ns.max(1) as f64;
-        }
-        // The instruction totals are the same work at every worker count
-        // — the equivalence assertions above guarantee it; double-check.
-        for row in &round[1..] {
-            assert_eq!(
-                row.instructions, round[0].instructions,
-                "worker counts retired different instruction totals"
-            );
-        }
-        rounds.push(round);
+    let mut rows = paired_rounds(
+        repeats,
+        worker_counts.len(),
+        |a| drain(worker_counts[a], tenants, &set),
+        |r| headline_row(r).map_or(0.0, |h| speedup(&r[0], h)),
+    )?;
+    let one = rows[0];
+    for row in &mut rows {
+        row.speedup_vs_1 = speedup(&one, row);
+        // The same work at every worker count — `drain`'s per-tenant
+        // assertions guarantee it; double-check the totals.
+        assert_eq!(
+            row.instructions, one.instructions,
+            "worker counts retired different instruction totals"
+        );
     }
-    let headline = |round: &[ScalingRow]| headline_row(round).map_or(0.0, |r| r.speedup_vs_1);
-    rounds.sort_by(|a, b| {
-        headline(a)
-            .partial_cmp(&headline(b))
-            .expect("finite speedups")
-    });
-    let median = rounds[rounds.len() / 2].clone();
     Ok(ParallelReport {
-        rows: median,
+        rows,
         tenants,
-        rounds: repeats.max(1),
-        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        protocol: Protocol::new(repeats),
         all_match: true, // divergence panics inside drain
     })
 }
 
 /// Renders the report as the machine-readable `BENCH_parallel.json`.
 pub fn report_to_json(r: &ParallelReport) -> String {
-    fn num(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x:.3}")
-        } else {
-            "null".to_string()
-        }
-    }
-    let mut s = String::new();
-    s.push_str("{\n  \"bench\": \"parallel\",\n  \"schema\": 1,\n");
-    s.push_str(&format!(
-        "  \"protocol\": {{\"tenants\": {}, \"slice_steps\": {}, \"workloads\": [{}], \"worker_counts\": [{}], \"paired_rounds\": {}, \"host_cores\": {}}},\n",
-        r.tenants,
-        SLICE_STEPS,
-        tenant_workloads()
-            .iter()
-            .map(|w| format!("\"{}\"", w.name))
-            .collect::<Vec<_>>()
-            .join(", "),
-        r.rows
-            .iter()
-            .map(|row| row.workers.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
-        r.rounds,
-        r.host_cores,
-    ));
-    s.push_str("  \"unit\": {\"throughput\": \"retired instructions per wall-microsecond, aggregate over the whole drain; speedups are within-round ratios, median round kept\"},\n");
-    s.push_str("  \"rows\": [\n");
-    for (i, row) in r.rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"workers\": {}, \"wall_ns\": {}, \"instructions\": {}, \"throughput\": {}, \"speedup_vs_1\": {}, \"migrations\": {}}}{}",
-            row.workers,
-            row.wall_ns,
-            row.instructions,
-            num(row.throughput),
-            num(row.speedup_vs_1),
-            row.migrations,
-            if i + 1 < r.rows.len() { ",\n" } else { "\n" },
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"equivalence\": {{\"tenants\": {}, \"worker_counts_checked\": {}, \"all_match\": {}}},\n",
-        r.tenants,
-        r.rows.len(),
-        r.all_match,
-    ));
-    s.push_str(&format!(
-        "  \"summary\": {{\"speedup_4w\": {}, \"target_2x_met\": {}, \"host_cores\": {}, \"host_limited\": {}}}\n}}\n",
-        num(r.headline_speedup()),
-        r.target_met(),
-        r.host_cores,
-        r.host_limited(),
-    ));
-    s
+    artifact(
+        "parallel",
+        r.protocol,
+        |j| {
+            let names: Vec<&str> = tenant_workloads().iter().map(|w| w.name).collect();
+            let workers: Vec<usize> = r.rows.iter().map(|row| row.workers).collect();
+            j.field("tenants", r.tenants)
+                .field("slice_steps", SLICE_STEPS)
+                .field("workloads", names)
+                .field("worker_counts", workers);
+        },
+        |j| {
+            j.key("unit").object(|j| {
+                j.field("throughput", "retired instructions per wall-microsecond, aggregate over the whole drain; speedups are within-round ratios, median round kept");
+            });
+            j.key("rows").array(|j| {
+                for row in &r.rows {
+                    j.object(|j| {
+                        j.field("workers", row.workers)
+                            .field("wall_ns", row.wall_ns)
+                            .field("instructions", row.instructions)
+                            .field("throughput", row.throughput)
+                            .field("speedup_vs_1", row.speedup_vs_1)
+                            .field("migrations", row.migrations);
+                    });
+                }
+            });
+            j.key("equivalence").object(|j| {
+                j.field("tenants", r.tenants)
+                    .field("worker_counts_checked", r.rows.len())
+                    .field("all_match", r.all_match);
+            });
+            j.key("summary").object(|j| {
+                j.field("speedup_4w", r.headline_speedup())
+                    .field("target_2x_met", r.target_met())
+                    .field("host_cores", r.protocol.host_cores)
+                    .field("host_limited", r.host_limited());
+            });
+        },
+    )
 }
 
 #[cfg(test)]
@@ -352,11 +280,9 @@ mod tests {
     #[test]
     fn small_drain_matches_baselines_at_every_worker_count() {
         // `drain` panics on any divergence, so running it IS the check.
-        let set = tenant_workloads();
-        let vms = build_vms(&set);
-        let baselines = solo_baselines(&set, &vms).unwrap();
+        let set = Tenants::new(tenant_workloads()).unwrap();
         for workers in [1, 3] {
-            let row = drain(workers, 7, &set, &vms, &baselines).unwrap();
+            let row = drain(workers, 7, &set).unwrap();
             assert_eq!(row.workers, workers);
             assert!(row.instructions > 0);
             assert!(row.wall_ns > 0);
@@ -386,8 +312,10 @@ mod tests {
         let r = ParallelReport {
             rows,
             tenants: 32,
-            rounds: 5,
-            host_cores: 8,
+            protocol: Protocol {
+                paired_rounds: 5,
+                host_cores: 8,
+            },
             all_match: true,
         };
         assert!(r.target_met());
@@ -397,6 +325,9 @@ mod tests {
         assert!(j.contains("\"target_2x_met\": true"));
         assert!(j.contains("\"all_match\": true"));
         assert!(j.contains("\"host_cores\": 8"));
+        assert!(j.contains(
+            "\"worker_counts\": [\n      1,\n      4\n    ],\n    \"paired_rounds\": 5,"
+        ));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
     }

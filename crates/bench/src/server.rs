@@ -7,13 +7,12 @@
 //! worker panics, fuel exhaustion via [`FaultPlan`]) must not blow up
 //! tail latency for everyone else: `p99_faults ≤ 2 × p99_without`.
 //!
-//! Protocol: paired rounds, like the other pipelines. Each round runs
-//! the identical tenant/request schedule twice back to back — once
-//! fault-free, once under the seeded plan — on a fresh server each
-//! phase; the reported round is the one with the median p99 ratio.
-//! Latency is measured server-side per request (admission to terminal
-//! response, queue wait included), so backpressure is part of the
-//! number, not hidden by it.
+//! Wall clock follows the [paired-round protocol](crate::harness), keyed
+//! on the p99 ratio: its two arms run the identical tenant/request
+//! schedule, once fault-free and once under the seeded plan, each on a
+//! fresh server. Latency is measured server-side per request (admission
+//! to terminal response, queue wait included), so backpressure is part of
+//! the number, not hidden by it.
 
 use std::time::Duration;
 
@@ -21,6 +20,8 @@ use com_vm::server::{
     FaultPlan, Request, RetryPolicy, Server, ServerConfig, ServerStats, TenantConfig, Ticket,
 };
 use com_vm::{Vm, VmError};
+
+use crate::harness::{artifact, paired_rounds, percentile_us, Protocol};
 
 /// Default concurrent tenants (the ISSUE 6 headline scale).
 pub const TENANTS: usize = 1000;
@@ -100,16 +101,14 @@ pub struct ServerReport {
     pub requests_per_tenant: usize,
     /// Worker threads.
     pub workers: usize,
-    /// Paired rounds timed.
-    pub rounds: u32,
-    /// Cores the host exposes.
-    pub host_cores: usize,
+    /// Paired rounds timed and the host's cores.
+    pub protocol: Protocol,
 }
 
 impl ServerReport {
     /// `p99_faults / p99_without` — the robustness headline.
     pub fn p99_ratio(&self) -> f64 {
-        self.with_faults.p99_us / self.without.p99_us.max(f64::MIN_POSITIVE)
+        p99_ratio(&self.without, &self.with_faults)
     }
 
     /// Whether the ≤2× tail-latency bar is met.
@@ -122,16 +121,12 @@ impl ServerReport {
     /// parallelism. The p99 *ratio* is still meaningful (both phases are
     /// equally limited), which is why the bar is judged on it.
     pub fn host_limited(&self) -> bool {
-        self.host_cores < self.workers
+        self.protocol.host_cores < self.workers
     }
 }
 
-fn percentile_us(sorted: &[Duration], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((sorted.len() as f64 * p).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1].as_secs_f64() * 1e6
+fn p99_ratio(without: &PhaseRow, with_faults: &PhaseRow) -> f64 {
+    with_faults.p99_us / without.p99_us.max(f64::MIN_POSITIVE)
 }
 
 /// Runs one phase: fresh server, the full tenant/request schedule,
@@ -240,86 +235,80 @@ pub fn report(tenants: usize, workers: usize, repeats: u32) -> Result<ServerRepo
     phase(&vm, warm, workers, FaultPlan::new())?;
     phase(&vm, warm, workers, warm_plan)?;
 
-    let mut rounds: Vec<(PhaseRow, PhaseRow)> = Vec::new();
-    for _ in 0..repeats.max(1) {
-        let (without, stats_a) = phase(&vm, tenants, workers, FaultPlan::new())?;
-        assert_eq!(stats_a.failed, 0, "the fault-free phase must not fail");
-        assert_eq!(stats_a.shed, 0, "blocking submits must not shed");
-        let (with_faults, stats_b) = phase(&vm, tenants, workers, plan.clone())?;
-        assert_eq!(
-            stats_b.completed + stats_b.failed,
-            (tenants * REQUESTS_PER_TENANT) as u64,
-            "every admitted request must terminate"
-        );
-        rounds.push((without, with_faults));
-    }
-    let ratio = |r: &(PhaseRow, PhaseRow)| r.1.p99_us / r.0.p99_us.max(f64::MIN_POSITIVE);
-    rounds.sort_by(|a, b| ratio(a).partial_cmp(&ratio(b)).expect("finite ratios"));
-    let (without, with_faults) = rounds[rounds.len() / 2];
+    let total = (tenants * REQUESTS_PER_TENANT) as u64;
+    let plans = [FaultPlan::new(), plan];
+    let round = paired_rounds(
+        repeats,
+        2,
+        |a| {
+            let (row, stats) = phase(&vm, tenants, workers, plans[a].clone())?;
+            if row.faults {
+                assert_eq!(
+                    stats.completed + stats.failed,
+                    total,
+                    "every admitted request must terminate"
+                );
+            } else {
+                assert_eq!(stats.failed, 0, "the fault-free phase must not fail");
+                assert_eq!(stats.shed, 0, "blocking submits must not shed");
+            }
+            Ok::<_, VmError>(row)
+        },
+        |r| p99_ratio(&r[0], &r[1]),
+    )?;
     Ok(ServerReport {
-        without,
-        with_faults,
+        without: round[0],
+        with_faults: round[1],
         tenants,
         requests_per_tenant: REQUESTS_PER_TENANT,
         workers,
-        rounds: repeats.max(1),
-        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        protocol: Protocol::new(repeats),
     })
 }
 
 /// Renders the report as the machine-readable `BENCH_server.json`.
 pub fn report_to_json(r: &ServerReport) -> String {
-    fn num(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x:.3}")
-        } else {
-            "null".to_string()
-        }
-    }
-    fn row(p: &PhaseRow) -> String {
-        format!(
-            "    {{\"faults\": {}, \"wall_ns\": {}, \"req_per_s\": {}, \"p50_us\": {}, \"p99_us\": {}, \"completed\": {}, \"failed\": {}, \"retries\": {}, \"faults_injected\": {}, \"max_queued\": {}}}",
-            p.faults,
-            p.wall_ns,
-            num(p.req_per_s),
-            num(p.p50_us),
-            num(p.p99_us),
-            p.completed,
-            p.failed,
-            p.retries,
-            p.faults_injected,
-            p.max_queued,
-        )
-    }
-    let mut s = String::new();
-    s.push_str("{\n  \"bench\": \"server\",\n  \"schema\": 1,\n");
-    s.push_str(&format!(
-        "  \"protocol\": {{\"tenants\": {}, \"requests_per_tenant\": {}, \"workers\": {}, \"queue_depth\": {}, \"base_slice\": {}, \"fault_per_mille\": {}, \"seed\": {}, \"paired_rounds\": {}, \"host_cores\": {}}},\n",
-        r.tenants,
-        r.requests_per_tenant,
-        r.workers,
-        QUEUE_DEPTH,
-        BASE_SLICE,
-        FAULT_PER_MILLE,
-        SEED,
-        r.rounds,
-        r.host_cores,
-    ));
-    s.push_str("  \"unit\": {\"latency\": \"microseconds from admission to terminal response, queue wait included, measured server-side; paired fault-free/faulted phases per round, median p99-ratio round kept\"},\n");
-    s.push_str("  \"rows\": [\n");
-    s.push_str(&row(&r.without));
-    s.push_str(",\n");
-    s.push_str(&row(&r.with_faults));
-    s.push_str("\n  ],\n");
-    s.push_str(&format!(
-        "  \"summary\": {{\"req_per_s\": {}, \"p99_ratio\": {}, \"target_2x_met\": {}, \"host_cores\": {}, \"host_limited\": {}}}\n}}\n",
-        num(r.without.req_per_s),
-        num(r.p99_ratio()),
-        r.target_met(),
-        r.host_cores,
-        r.host_limited(),
-    ));
-    s
+    artifact(
+        "server",
+        r.protocol,
+        |j| {
+            j.field("tenants", r.tenants)
+                .field("requests_per_tenant", r.requests_per_tenant)
+                .field("workers", r.workers)
+                .field("queue_depth", QUEUE_DEPTH)
+                .field("base_slice", BASE_SLICE)
+                .field("fault_per_mille", FAULT_PER_MILLE)
+                .field("seed", SEED);
+        },
+        |j| {
+            j.key("unit").object(|j| {
+                j.field("latency", "microseconds from admission to terminal response, queue wait included, measured server-side; paired fault-free/faulted phases per round, median p99-ratio round kept");
+            });
+            j.key("rows").array(|j| {
+                for p in [&r.without, &r.with_faults] {
+                    j.object(|j| {
+                        j.field("faults", p.faults)
+                            .field("wall_ns", p.wall_ns)
+                            .field("req_per_s", p.req_per_s)
+                            .field("p50_us", p.p50_us)
+                            .field("p99_us", p.p99_us)
+                            .field("completed", p.completed)
+                            .field("failed", p.failed)
+                            .field("retries", p.retries)
+                            .field("faults_injected", p.faults_injected)
+                            .field("max_queued", p.max_queued);
+                    });
+                }
+            });
+            j.key("summary").object(|j| {
+                j.field("req_per_s", r.without.req_per_s)
+                    .field("p99_ratio", r.p99_ratio())
+                    .field("target_2x_met", r.target_met())
+                    .field("host_cores", r.protocol.host_cores)
+                    .field("host_limited", r.host_limited());
+            });
+        },
+    )
 }
 
 #[cfg(test)]
@@ -370,8 +359,10 @@ mod tests {
             tenants: 1000,
             requests_per_tenant: 4,
             workers: 4,
-            rounds: 5,
-            host_cores: 8,
+            protocol: Protocol {
+                paired_rounds: 5,
+                host_cores: 8,
+            },
         };
         assert!((r.p99_ratio() - 1.666).abs() < 0.01);
         assert!(r.target_met());
@@ -383,14 +374,5 @@ mod tests {
         assert!(j.contains("\"host_cores\": 8"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
-    }
-
-    #[test]
-    fn percentiles_index_from_the_sorted_tail() {
-        let lat: Vec<Duration> = (1..=100).map(Duration::from_micros).collect();
-        assert_eq!(percentile_us(&lat, 0.50), 50.0);
-        assert_eq!(percentile_us(&lat, 0.99), 99.0);
-        assert_eq!(percentile_us(&lat, 1.0), 100.0);
-        assert_eq!(percentile_us(&[], 0.99), 0.0);
     }
 }

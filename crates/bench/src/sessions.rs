@@ -5,22 +5,24 @@
 //! 1. **Spin-up** — spawning a tenant [`Session`] over a shared, immutable
 //!    [`com_vm::LoadedImage`] must be ≥ 10× cheaper (wall clock) than the
 //!    old one-tenant path, a fresh compile + load of the same program.
-//!    Measured with the same paired-median protocol as the other bench
-//!    pipelines: each round times both paths back to back, and the round
-//!    with the median ratio is reported.
+//!    Measured with the [paired-round protocol](crate::harness), keyed on
+//!    that ratio.
 //! 2. **Round-robin fidelity** — a 16-session cooperative round-robin run
 //!    (the [`com_vm::Scheduler`] interleaving tenants in fixed instruction
 //!    slices) must complete every workload with results *and*
-//!    [`CycleStats`] bit-identical to sequential execution. Isolation is
-//!    architectural, so this is asserted exactly, not approximately.
+//!    [`CycleStats`](com_core::CycleStats) bit-identical to sequential
+//!    execution. Isolation is architectural, so this is asserted exactly,
+//!    not approximately.
 
 use std::time::Instant;
 
-use com_core::{CycleStats, MachineConfig, RunResult};
+use com_core::MachineConfig;
 use com_mem::Word;
 use com_stc::CompileOptions;
 use com_vm::{Scheduler, Session, Vm, VmError};
 use com_workloads::{self as workloads, Workload};
+
+use crate::harness::{artifact, paired_rounds, Protocol, Tenants};
 
 /// Instruction slice each tenant receives per scheduler round.
 pub const SLICE_STEPS: u64 = 5_000;
@@ -49,8 +51,6 @@ pub struct SpinupMeasure {
     /// Nanoseconds per `vm.session()` on the shared image (mean of the
     /// round's batch of [`SPAWNS_PER_ROUND`]).
     pub session_ns: u64,
-    /// Paired rounds timed.
-    pub rounds: u32,
 }
 
 impl SpinupMeasure {
@@ -89,6 +89,8 @@ pub struct SessionsReport {
     pub rounds: u64,
     /// Tenants in the round-robin run.
     pub sessions: usize,
+    /// The spin-up comparison's rounds and host.
+    pub protocol: Protocol,
 }
 
 impl SessionsReport {
@@ -126,7 +128,7 @@ fn time_session_batch(vm: &Vm, spawns: u32) -> Result<u64, VmError> {
     Ok(ns / u64::from(spawns.max(1)))
 }
 
-/// The paired-median spin-up comparison over `repeats` rounds.
+/// The paired-round spin-up comparison over `repeats` rounds.
 ///
 /// # Errors
 ///
@@ -142,22 +144,21 @@ pub fn measure_spinup(repeats: u32) -> Result<SpinupMeasure, VmError> {
     // Warm both paths once (allocator, lazy statics).
     time_fresh(&source, config)?;
     time_session_batch(&vm, SPAWNS_PER_ROUND)?;
-    let mut rounds: Vec<(u64, u64)> = Vec::new();
-    for _ in 0..repeats.max(1) {
-        let fresh = time_fresh(&source, config)?;
-        let session = time_session_batch(&vm, SPAWNS_PER_ROUND)?;
-        rounds.push((fresh, session));
-    }
-    rounds.sort_by(|a, b| {
-        let ra = a.0 as f64 / a.1.max(1) as f64;
-        let rb = b.0 as f64 / b.1.max(1) as f64;
-        ra.partial_cmp(&rb).expect("finite ratios")
-    });
-    let (fresh_ns, session_ns) = rounds[rounds.len() / 2];
+    let round = paired_rounds(
+        repeats,
+        2,
+        |a| {
+            if a == 0 {
+                time_fresh(&source, config)
+            } else {
+                time_session_batch(&vm, SPAWNS_PER_ROUND)
+            }
+        },
+        |r| r[0] as f64 / r[1].max(1) as f64,
+    )?;
     Ok(SpinupMeasure {
-        fresh_ns,
-        session_ns,
-        rounds: repeats.max(1),
+        fresh_ns: round[0],
+        session_ns: round[1],
     })
 }
 
@@ -172,37 +173,13 @@ pub fn measure_spinup(repeats: u32) -> Result<SpinupMeasure, VmError> {
 ///
 /// Panics if a workload fails its self-check or a tenant never finishes.
 pub fn measure_roundrobin(sessions: usize) -> Result<(Vec<TenantRow>, u64), VmError> {
-    let picks = tenant_workloads();
-    let vms: Vec<Vm> = picks
-        .iter()
-        .map(|w| workloads::vm_for(w, MachineConfig::default(), CompileOptions::default()))
-        .collect();
-    let tenant_vm = |i: usize| &vms[i % picks.len()];
-    let tenant_w = |i: usize| &picks[i % picks.len()];
-
-    // Sequential baselines.
-    let mut baseline: Vec<(Word, CycleStats)> = Vec::new();
-    for i in 0..sessions {
-        let w = tenant_w(i);
-        let mut s: Session = tenant_vm(i).session()?;
-        let out: RunResult = workloads::run_on(w, &mut s, workloads::MAX_STEPS)?;
-        assert_eq!(
-            out.result,
-            Word::Int(w.expected),
-            "{} failed its self-check sequentially",
-            w.name
-        );
-        baseline.push((out.result, out.stats));
-    }
-
-    // Interleaved run.
+    let set = Tenants::new(tenant_workloads())?;
     let mut sched = Scheduler::new(SLICE_STEPS);
-    let mut ids = Vec::new();
-    for i in 0..sessions {
-        let mut s = tenant_vm(i).session()?;
-        workloads::start_on(tenant_w(i), &mut s)?;
-        ids.push(sched.spawn(s)?);
-    }
+    let ids = set
+        .started(sessions)?
+        .into_iter()
+        .map(|s| sched.spawn(s))
+        .collect::<Result<Vec<_>, _>>()?;
     sched.run();
 
     let mut rows = Vec::new();
@@ -214,11 +191,11 @@ pub fn measure_roundrobin(sessions: usize) -> Result<(Vec<TenantRow>, u64), VmEr
             .clone();
         rows.push(TenantRow {
             tenant: i,
-            workload: tenant_w(i).name,
+            workload: set.workload(i).name,
             result: run.result,
             instructions: run.stats.instructions,
             slices: sched.slices(*id),
-            matches_sequential: run.result == baseline[i].0 && run.stats == baseline[i].1,
+            matches_sequential: (run.result, run.stats) == *set.solo(i),
         });
     }
     Ok((rows, sched.rounds()))
@@ -237,65 +214,55 @@ pub fn report(sessions: usize, repeats: u32) -> Result<SessionsReport, VmError> 
         sessions,
         tenants,
         rounds,
+        protocol: Protocol::new(repeats),
     })
 }
 
 /// Renders the report as the machine-readable `BENCH_sessions.json`.
 pub fn report_to_json(r: &SessionsReport) -> String {
-    fn num(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x:.3}")
-        } else {
-            "null".to_string()
-        }
-    }
-    let mut s = String::new();
-    s.push_str("{\n  \"bench\": \"sessions\",\n  \"schema\": 1,\n");
-    s.push_str(&format!(
-        "  \"protocol\": {{\"sessions\": {}, \"slice_steps\": {}, \"workloads\": [{}], \"paired_rounds\": {}, \"spawns_per_round\": {}}},\n",
-        r.sessions,
-        SLICE_STEPS,
-        tenant_workloads()
-            .iter()
-            .map(|w| format!("\"{}\"", w.name))
-            .collect::<Vec<_>>()
-            .join(", "),
-        r.spinup.rounds,
-        SPAWNS_PER_ROUND,
-    ));
-    s.push_str("  \"unit\": {\"spinup_speedup\": \"fresh compile+load wall-ns over per-session shared-image session() wall-ns (mean of a spawns_per_round batch), median paired round\"},\n");
-    s.push_str(&format!(
-        "  \"spinup\": {{\"fresh_ns\": {}, \"session_ns\": {}, \"speedup\": {}, \"target_10x_met\": {}}},\n",
-        r.spinup.fresh_ns,
-        r.spinup.session_ns,
-        num(r.spinup.speedup()),
-        r.spinup.speedup() >= 10.0,
-    ));
-    s.push_str("  \"roundrobin\": {\n");
-    s.push_str(&format!(
-        "    \"rounds\": {},\n    \"tenants\": [\n",
-        r.rounds
-    ));
-    for (i, t) in r.tenants.iter().enumerate() {
-        s.push_str(&format!(
-            "      {{\"tenant\": {}, \"workload\": \"{}\", \"result\": \"{}\", \"instructions\": {}, \"slices\": {}, \"matches_sequential\": {}}}{}",
-            t.tenant,
-            t.workload,
-            t.result,
-            t.instructions,
-            t.slices,
-            t.matches_sequential,
-            if i + 1 < r.tenants.len() { ",\n" } else { "\n" },
-        ));
-    }
-    s.push_str("    ]\n  },\n");
-    s.push_str(&format!(
-        "  \"summary\": {{\"spinup_speedup\": {}, \"target_10x_met\": {}, \"roundrobin_matches\": {}}}\n}}\n",
-        num(r.spinup.speedup()),
-        r.spinup.speedup() >= 10.0,
-        r.all_match(),
-    ));
-    s
+    let target_met = r.spinup.speedup() >= 10.0;
+    artifact(
+        "sessions",
+        r.protocol,
+        |j| {
+            let names: Vec<&str> = tenant_workloads().iter().map(|w| w.name).collect();
+            j.field("sessions", r.sessions)
+                .field("slice_steps", SLICE_STEPS)
+                .field("workloads", names)
+                .field("spawns_per_round", SPAWNS_PER_ROUND);
+        },
+        |j| {
+            j.key("unit").object(|j| {
+                j.field("spinup_speedup", "fresh compile+load wall-ns over per-session shared-image session() wall-ns (mean of a spawns_per_round batch), median paired round");
+            });
+            j.key("spinup").object(|j| {
+                j.field("fresh_ns", r.spinup.fresh_ns)
+                    .field("session_ns", r.spinup.session_ns)
+                    .field("speedup", r.spinup.speedup())
+                    .field("target_10x_met", target_met);
+            });
+            j.key("roundrobin").object(|j| {
+                j.field("rounds", r.rounds);
+                j.key("tenants").array(|j| {
+                    for t in &r.tenants {
+                        j.object(|j| {
+                            j.field("tenant", t.tenant)
+                                .field("workload", t.workload)
+                                .field("result", t.result.to_string())
+                                .field("instructions", t.instructions)
+                                .field("slices", t.slices)
+                                .field("matches_sequential", t.matches_sequential);
+                        });
+                    }
+                });
+            });
+            j.key("summary").object(|j| {
+                j.field("spinup_speedup", r.spinup.speedup())
+                    .field("target_10x_met", target_met)
+                    .field("roundrobin_matches", r.all_match());
+            });
+        },
+    )
 }
 
 #[cfg(test)]
@@ -318,7 +285,6 @@ mod tests {
             spinup: SpinupMeasure {
                 fresh_ns: 1_000_000,
                 session_ns: 10_000,
-                rounds: 3,
             },
             sessions: 2,
             tenants: vec![TenantRow {
@@ -330,6 +296,7 @@ mod tests {
                 matches_sequential: true,
             }],
             rounds: 6,
+            protocol: Protocol::new(3),
         };
         let j = report_to_json(&r);
         assert!(j.contains("\"speedup\": 100.000"));

@@ -36,6 +36,7 @@ use com_obj::ItlbKey;
 use crate::callgraph::{CallGraph, FuelBound};
 use crate::error::VerifyError;
 use crate::infer::{infer_image, Inference, SiteKind};
+use crate::json::{JsonValue, JsonWriter};
 
 /// Per-method presentation metadata captured at analysis time, so the
 /// facts stay self-contained once the image is gone.
@@ -217,138 +218,106 @@ impl ImageFacts {
         keys
     }
 
+    /// Decimals of the artifact's one fractional number, `resolved_pct`.
+    pub const JSON_PRECISION: usize = 1;
+
     /// Serializes the facts as the version-1 JSON artifact.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"version\": 1,\n");
-        out.push_str(&format!("  \"degraded\": {},\n", self.inference.degraded));
-        // Classes.
-        out.push_str("  \"classes\": [");
-        let mut ids: Vec<_> = self.class_names.keys().copied().collect();
-        ids.sort_by_key(|c| c.0);
-        for (i, id) in ids.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"id\": {}, \"name\": {}}}",
-                id.0,
-                json_str(&self.class_names[id])
-            ));
-        }
-        out.push_str("],\n");
-        // Methods.
-        out.push_str("  \"methods\": [\n");
-        for (i, m) in self.methods.iter().enumerate() {
-            let fuel = match self.callgraph.fuel.get(i) {
-                Some(FuelBound::Bounded(f)) => f.to_string(),
-                _ => "null".to_string(),
-            };
-            out.push_str(&format!(
-                "    {{\"index\": {}, \"name\": {}, \"class\": {}, \"selector\": {}, \"fuel\": {}, \"may_write_ctx\": {}, \"reachable\": {}}}{}\n",
-                i,
-                json_str(&m.name),
-                json_str(&m.class),
-                json_str(&m.selector),
-                fuel,
-                self.inference.may_write_ctx.get(i).copied().unwrap_or(true),
-                self.reachable.get(i).copied().unwrap_or(true),
-                if i + 1 < self.methods.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        // Call graph.
-        out.push_str("  \"call_graph\": [");
-        for (i, callees) in self.callgraph.edges.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "[{}]",
-                callees
-                    .iter()
-                    .map(|c| c.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
-        }
-        out.push_str("],\n");
-        // Sites.
-        out.push_str("  \"sites\": [\n");
-        let n_sites = self.inference.sites.len();
-        for (i, site) in self.inference.sites.iter().enumerate() {
-            let kind = match site.kind {
-                SiteKind::Monomorphic => "monomorphic",
-                SiteKind::Polymorphic => "polymorphic",
-                SiteKind::Unresolvable => "unresolvable",
-                SiteKind::Dead => "dead",
-            };
-            let receivers = if self.inference.universe.is_top(&site.receivers) {
-                "[\"*\"]".to_string()
-            } else {
-                let names: Vec<String> = self
-                    .inference
-                    .universe
-                    .classes_in(&site.receivers)
-                    .map(|c| json_str(self.class_names.get(&c).map(|s| s.as_str()).unwrap_or("?")))
-                    .collect();
-                format!("[{}]", names.join(", "))
-            };
-            let prims: Vec<String> = site
-                .prims
-                .iter()
-                .map(|p| json_str(&p.to_string()))
-                .collect();
-            let methods: Vec<String> = site.methods.iter().map(|m| m.to_string()).collect();
-            out.push_str(&format!(
-                "    {{\"method\": {}, \"pc\": {}, \"selector\": {}, \"kind\": \"{}\", \"receivers\": {}, \"prims\": [{}], \"methods\": [{}]}}{}\n",
-                site.method,
-                site.pc,
-                json_str(
-                    self.selector_names
-                        .get(&site.selector.0)
-                        .map(|s| s.as_str())
-                        .unwrap_or("?")
-                ),
-                kind,
-                receivers,
-                prims.join(", "),
-                methods.join(", "),
-                if i + 1 < n_sites { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        // Fresh-object escape facts.
-        out.push_str("  \"fresh\": [");
-        for (i, f) in self.inference.fresh.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let class = match f.class.and_then(|c| self.class_names.get(&c)) {
-                Some(name) => json_str(name),
-                None => "null".to_string(),
-            };
-            out.push_str(&format!(
-                "{{\"method\": {}, \"pc\": {}, \"class\": {}, \"escapes\": {}}}",
-                f.method, f.pc, class, f.escapes
-            ));
-        }
-        out.push_str("],\n");
-        // Summary.
-        let s = &self.summary;
-        out.push_str(&format!(
-            "  \"summary\": {{\"sites\": {}, \"live_sites\": {}, \"monomorphic\": {}, \"polymorphic\": {}, \"unresolvable\": {}, \"dead\": {}, \"resolved_pct\": {:.1}, \"preseed_keys\": {}}}\n",
-            s.sites,
-            s.live_sites,
-            s.monomorphic,
-            s.polymorphic,
-            s.unresolvable,
-            s.dead,
-            s.resolved_pct,
-            self.preseed_keys().len()
-        ));
-        out.push_str("}\n");
-        out
+        let mut j = JsonWriter::new(Self::JSON_PRECISION);
+        j.value(self);
+        j.finish()
+    }
+}
+
+/// The version-1 artifact object; write it with a
+/// [`ImageFacts::JSON_PRECISION`] writer.
+impl JsonValue for ImageFacts {
+    fn write_json(&self, j: &mut JsonWriter) {
+        let u = &self.inference.universe;
+        let class_name = |c: &ClassId| self.class_names.get(c).map_or("?", |s| s.as_str());
+        j.object(|j| {
+            j.field("version", 1)
+                .field("degraded", self.inference.degraded);
+            let mut ids: Vec<_> = self.class_names.keys().copied().collect();
+            ids.sort_by_key(|c| c.0);
+            j.key("classes").array(|j| {
+                for id in &ids {
+                    j.object(|j| {
+                        j.field("id", id.0).field("name", class_name(id));
+                    });
+                }
+            });
+            j.key("methods").array(|j| {
+                for (i, m) in self.methods.iter().enumerate() {
+                    let fuel = match self.callgraph.fuel.get(i) {
+                        Some(FuelBound::Bounded(f)) => Some(*f),
+                        _ => None,
+                    };
+                    j.object(|j| {
+                        j.field("index", i)
+                            .field("name", &m.name)
+                            .field("class", &m.class)
+                            .field("selector", &m.selector)
+                            .field("fuel", fuel)
+                            .field(
+                                "may_write_ctx",
+                                self.inference.may_write_ctx.get(i).copied().unwrap_or(true),
+                            )
+                            .field("reachable", self.reachable.get(i).copied().unwrap_or(true));
+                    });
+                }
+            });
+            j.field("call_graph", &self.callgraph.edges);
+            j.key("sites").array(|j| {
+                for site in &self.inference.sites {
+                    let kind = match site.kind {
+                        SiteKind::Monomorphic => "monomorphic",
+                        SiteKind::Polymorphic => "polymorphic",
+                        SiteKind::Unresolvable => "unresolvable",
+                        SiteKind::Dead => "dead",
+                    };
+                    let receivers: Vec<&str> = if u.is_top(&site.receivers) {
+                        vec!["*"]
+                    } else {
+                        u.classes_in(&site.receivers)
+                            .map(|c| class_name(&c))
+                            .collect()
+                    };
+                    let prims: Vec<String> = site.prims.iter().map(|p| p.to_string()).collect();
+                    let selector = self.selector_names.get(&site.selector.0);
+                    j.object(|j| {
+                        j.field("method", site.method)
+                            .field("pc", site.pc)
+                            .field("selector", selector.map_or("?", |s| s.as_str()))
+                            .field("kind", kind)
+                            .field("receivers", &receivers)
+                            .field("prims", &prims)
+                            .field("methods", &site.methods);
+                    });
+                }
+            });
+            j.key("fresh").array(|j| {
+                for f in &self.inference.fresh {
+                    j.object(|j| {
+                        j.field("method", f.method)
+                            .field("pc", f.pc)
+                            .field("class", f.class.and_then(|c| self.class_names.get(&c)))
+                            .field("escapes", f.escapes);
+                    });
+                }
+            });
+            let s = &self.summary;
+            j.key("summary").object(|j| {
+                j.field("sites", s.sites)
+                    .field("live_sites", s.live_sites)
+                    .field("monomorphic", s.monomorphic)
+                    .field("polymorphic", s.polymorphic)
+                    .field("unresolvable", s.unresolvable)
+                    .field("dead", s.dead)
+                    .field("resolved_pct", s.resolved_pct)
+                    .field("preseed_keys", self.preseed_keys().len());
+            });
+        });
     }
 }
 
@@ -375,24 +344,6 @@ fn summarize(inference: &Inference) -> FactsSummary {
         s.resolved_pct = 100.0 * s.monomorphic as f64 / s.live_sites as f64;
     }
     s
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

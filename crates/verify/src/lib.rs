@@ -21,7 +21,7 @@
 //!   every send site classified monomorphic / polymorphic / unresolvable
 //!   ([`CallGraph`]), and a machine-readable facts artifact
 //!   ([`ImageFacts`]) that downstream tooling takes as its input
-//!   contract.
+//!   contract, written by the workspace's one JSON writer ([`JsonWriter`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,6 +33,7 @@ pub mod dataflow;
 mod error;
 pub mod facts;
 pub mod infer;
+pub mod json;
 pub mod lint;
 
 pub use callgraph::{CallGraph, FuelBound};
@@ -44,6 +45,7 @@ pub use facts::ImageFacts;
 pub use infer::{
     infer_image, ClassSet, ClassUniverse, Inference, Site, SiteKind, StaticResolver, Target,
 };
+pub use json::{JsonValue, JsonWriter};
 pub use lint::{
     lint_code, lint_image, lint_image_with, DiagCode, Diagnostic, LintConfig, Severity,
 };

@@ -3,9 +3,11 @@
 //! deny mode for CI, machine-readable output, and a facts artifact for
 //! downstream tooling.
 
+use com_bench::harness::Args;
 use com_stc::{compile_com, CompileOptions};
 use com_verify::{
-    lint_image_with, DiagCode, Diagnostic, ImageFacts, LintConfig, Severity, VerifyError,
+    lint_image_with, DiagCode, Diagnostic, ImageFacts, JsonWriter, LintConfig, Severity,
+    VerifyError,
 };
 use com_workloads as workloads;
 use std::process::ExitCode;
@@ -74,60 +76,20 @@ DIAGNOSTICS:
                      composition of the I001 bounds)
 ";
 
-struct Options {
-    workloads: bool,
-    stdlib: bool,
-    deny: bool,
-    json: bool,
-    fuel: bool,
-    verbose: bool,
-    entries: Vec<String>,
-    emit_facts: Option<String>,
-    files: Vec<String>,
-}
-
-fn parse_args() -> Result<Option<Options>, String> {
-    let mut opts = Options {
-        workloads: false,
-        stdlib: false,
-        deny: false,
-        json: false,
-        fuel: false,
-        verbose: false,
-        entries: Vec::new(),
-        emit_facts: None,
-        files: Vec::new(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--help" | "-h" => return Ok(None),
-            "--workloads" => opts.workloads = true,
-            "--stdlib" => opts.stdlib = true,
-            "--deny" => opts.deny = true,
-            "--json" => opts.json = true,
-            "--fuel" => opts.fuel = true,
-            "--verbose" | "-v" => opts.verbose = true,
-            "--entry" => match args.next() {
-                Some(name) => opts.entries.push(name),
-                None => return Err("--entry needs a selector name".to_string()),
-            },
-            "--emit-facts" => match args.next() {
-                Some(path) => opts.emit_facts = Some(path),
-                None => return Err("--emit-facts needs a file path".to_string()),
-            },
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option: {other}"));
-            }
-            file => opts.files.push(file.to_string()),
-        }
-    }
-    if !opts.workloads && !opts.stdlib && opts.files.is_empty() {
-        opts.workloads = true;
-        opts.stdlib = true;
-    }
-    Ok(Some(opts))
-}
+/// The accepted flags, each with its value placeholder if it takes one.
+const FLAGS: &[&str] = &[
+    "--help",
+    "-h",
+    "--workloads",
+    "--stdlib",
+    "--entry NAME",
+    "--deny",
+    "--json",
+    "--emit-facts FILE",
+    "--fuel",
+    "--verbose",
+    "-v",
+];
 
 /// One target's outcome: the lint findings and analysis facts, or the
 /// verify rejection.
@@ -158,88 +120,38 @@ fn lint_source(
     })
 }
 
-fn shown(d: &Diagnostic, opts: &Options) -> bool {
+fn shown(d: &Diagnostic, fuel: bool, verbose: bool) -> bool {
     match d.severity() {
         Severity::Warning => true,
-        Severity::Info if matches!(d.code, DiagCode::FuelBound | DiagCode::InterFuel) => opts.fuel,
-        Severity::Info => opts.verbose,
+        Severity::Info if matches!(d.code, DiagCode::FuelBound | DiagCode::InterFuel) => fuel,
+        Severity::Info => verbose,
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn finding_json(image: &str, d: &Diagnostic) -> String {
-    let severity = match d.severity() {
-        Severity::Warning => "warning",
-        Severity::Info => "info",
-    };
-    format!(
-        "{{\"image\": {}, \"code\": \"{}\", \"severity\": \"{}\", \"method\": {}, \"method_index\": {}, \"offset\": {}, \"message\": {}}}",
-        json_str(image),
-        d.code.code(),
-        severity,
-        json_str(&d.method.name),
-        d.method
-            .index
-            .map(|i| i.to_string())
-            .unwrap_or_else(|| "null".to_string()),
-        d.offset
-            .map(|o| o.to_string())
-            .unwrap_or_else(|| "null".to_string()),
-        json_str(&d.message),
-    )
-}
-
-fn verify_error_json(image: &str, e: &VerifyError) -> String {
-    format!(
-        "{{\"image\": {}, \"code\": \"{}\", \"severity\": \"error\", \"method\": {}, \"method_index\": {}, \"offset\": {}, \"message\": {}}}",
-        json_str(image),
-        e.kind.code(),
-        json_str(&e.method.name),
-        e.method
-            .index
-            .map(|i| i.to_string())
-            .unwrap_or_else(|| "null".to_string()),
-        e.offset
-            .map(|o| o.to_string())
-            .unwrap_or_else(|| "null".to_string()),
-        json_str(&e.kind.to_string()),
-    )
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(Some(opts)) => opts,
-        Ok(None) => {
-            print!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
+    let args = match Args::parse(std::env::args().skip(1), FLAGS) {
+        Ok(args) => args,
         Err(e) => {
             eprintln!("vmlint: {e}");
             eprint!("{USAGE}");
             return ExitCode::from(3);
         }
     };
+    if args.switch("--help") || args.switch("-h") {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let entries: Vec<String> = args.values("--entry").map(String::from).collect();
+    let files = &args.positional;
+    let json = args.switch("--json");
+    let fuel = args.switch("--fuel");
+    let verbose = args.switch("--verbose") || args.switch("-v");
+    // With no target, lint everything built in: the CI sweep.
+    let all = files.is_empty() && !args.switch("--workloads") && !args.switch("--stdlib");
 
     let mut reports: Vec<Report> = Vec::new();
-    if opts.stdlib {
-        match lint_source("stdlib", "", &opts.entries, CompileOptions::default()) {
+    if all || args.switch("--stdlib") {
+        match lint_source("stdlib", "", &entries, CompileOptions::default()) {
             Ok(r) => reports.push(r),
             Err(e) => {
                 eprintln!("vmlint: {e}");
@@ -247,16 +159,16 @@ fn main() -> ExitCode {
             }
         }
     }
-    if opts.workloads {
+    if all || args.switch("--workloads") {
         for w in workloads::all() {
             // The workload's own entry selector (plus any --entry) roots
             // its call graph.
-            let mut entries = opts.entries.clone();
-            entries.push(w.entry.to_string());
+            let mut roots = entries.clone();
+            roots.push(w.entry.to_string());
             match lint_source(
                 &format!("workload {}", w.name),
                 w.source,
-                &entries,
+                &roots,
                 CompileOptions::default(),
             ) {
                 Ok(r) => reports.push(r),
@@ -267,7 +179,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    for file in &opts.files {
+    for file in files {
         let source = match std::fs::read_to_string(file) {
             Ok(s) => s,
             Err(e) => {
@@ -275,7 +187,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(3);
             }
         };
-        match lint_source(file, &source, &opts.entries, CompileOptions::default()) {
+        match lint_source(file, &source, &entries, CompileOptions::default()) {
             Ok(r) => reports.push(r),
             Err(e) => {
                 eprintln!("vmlint: {e}");
@@ -285,24 +197,21 @@ fn main() -> ExitCode {
     }
 
     // The facts artifact: one object per image, wrapped with a version.
-    if let Some(path) = &opts.emit_facts {
-        let mut out = String::from("{\n\"version\": 1,\n\"images\": [\n");
-        let mut first = true;
-        for report in &reports {
-            if let Ok((_, facts)) = &report.outcome {
-                if !first {
-                    out.push_str(",\n");
+    if let Some(path) = args.values("--emit-facts").last() {
+        let mut j = JsonWriter::new(ImageFacts::JSON_PRECISION);
+        j.object(|j| {
+            j.field("version", 1);
+            j.key("images").array(|j| {
+                for report in &reports {
+                    if let Ok((_, facts)) = &report.outcome {
+                        j.object(|j| {
+                            j.field("name", &report.name).field("facts", facts);
+                        });
+                    }
                 }
-                first = false;
-                out.push_str(&format!(
-                    "{{\"name\": {}, \"facts\": {}}}",
-                    json_str(&report.name),
-                    facts.to_json()
-                ));
-            }
-        }
-        out.push_str("]\n}\n");
-        if let Err(e) = std::fs::write(path, out) {
+            });
+        });
+        if let Err(e) = std::fs::write(path, j.finish()) {
             eprintln!("vmlint: {path}: {e}");
             return ExitCode::from(3);
         }
@@ -314,13 +223,21 @@ fn main() -> ExitCode {
     let mut total_sites = 0usize;
     let mut total_live = 0usize;
     let mut total_mono = 0usize;
-    let mut json_findings: Vec<String> = Vec::new();
+    // `--json` findings: (image, code, severity, method, offset, message).
+    let mut findings = Vec::new();
     for report in &reports {
         match &report.outcome {
             Err(e) => {
                 verify_errors += 1;
-                if opts.json {
-                    json_findings.push(verify_error_json(&report.name, e));
+                if json {
+                    findings.push((
+                        &report.name,
+                        e.code(),
+                        "error",
+                        &e.method,
+                        e.offset,
+                        e.kind.to_string(),
+                    ));
                 } else {
                     println!("{}: error{e}", report.name);
                 }
@@ -331,15 +248,29 @@ fn main() -> ExitCode {
                 total_mono += facts.summary.monomorphic;
                 let mut header = false;
                 for d in diags {
-                    match d.severity() {
-                        Severity::Warning => warnings += 1,
-                        Severity::Info => infos += 1,
-                    }
-                    if opts.json {
-                        if shown(d, &opts) || d.severity() == Severity::Warning {
-                            json_findings.push(finding_json(&report.name, d));
+                    let severity = match d.severity() {
+                        Severity::Warning => {
+                            warnings += 1;
+                            "warning"
                         }
-                    } else if shown(d, &opts) {
+                        Severity::Info => {
+                            infos += 1;
+                            "info"
+                        }
+                    };
+                    if !shown(d, fuel, verbose) {
+                        continue;
+                    }
+                    if json {
+                        findings.push((
+                            &report.name,
+                            d.code.code(),
+                            severity,
+                            &d.method,
+                            d.offset,
+                            d.message.clone(),
+                        ));
+                    } else {
                         if !header {
                             println!("{} ({} methods):", report.name, report.methods);
                             header = true;
@@ -351,15 +282,22 @@ fn main() -> ExitCode {
         }
     }
 
-    if opts.json {
-        println!("[");
-        for (i, f) in json_findings.iter().enumerate() {
-            println!(
-                "  {f}{}",
-                if i + 1 < json_findings.len() { "," } else { "" }
-            );
-        }
-        println!("]");
+    if json {
+        let mut j = JsonWriter::new(0);
+        j.array(|j| {
+            for (image, code, severity, method, offset, message) in &findings {
+                j.object(|j| {
+                    j.field("image", image)
+                        .field("code", code)
+                        .field("severity", severity)
+                        .field("method", &method.name)
+                        .field("method_index", method.index)
+                        .field("offset", offset)
+                        .field("message", message);
+                });
+            }
+        });
+        print!("{}", j.finish());
     } else {
         let images = reports.len();
         let pct = if total_live > 0 {
@@ -380,7 +318,7 @@ fn main() -> ExitCode {
     }
     if verify_errors > 0 {
         ExitCode::from(2)
-    } else if opts.deny && warnings > 0 {
+    } else if args.switch("--deny") && warnings > 0 {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
