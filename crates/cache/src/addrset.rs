@@ -39,8 +39,11 @@ pub struct AddrSet {
     mask: u64,
     ways: usize,
     tags: Vec<u64>,
-    last_used: Vec<u64>,
-    filled_at: Vec<u64>,
+    /// Per line, the clock of its last use (LRU: fill or hit) or of its
+    /// fill (FIFO); unused under Random.
+    stamp: Vec<u64>,
+    /// Whether a hit refreshes the stamp (LRU only).
+    stamp_hits: bool,
     clock: u64,
     rng: u64,
     stats: CacheStats,
@@ -61,8 +64,8 @@ impl AddrSet {
             },
             ways,
             tags: vec![EMPTY; sets * ways],
-            last_used: vec![0; sets * ways],
-            filled_at: vec![0; sets * ways],
+            stamp: vec![0; sets * ways],
+            stamp_hits: config.replacement() == Replacement::Lru,
             clock: 0,
             rng: config.seed(),
             stats: CacheStats::default(),
@@ -112,7 +115,9 @@ impl AddrSet {
         let base = self.set_base(addr);
         for w in 0..self.ways {
             if self.tags[base + w] == addr {
-                self.last_used[base + w] = self.clock;
+                if self.stamp_hits {
+                    self.stamp[base + w] = self.clock;
+                }
                 self.stats.hits += 1;
                 return true;
             }
@@ -129,24 +134,22 @@ impl AddrSet {
         let base = self.set_base(addr);
         for w in 0..self.ways {
             if self.tags[base + w] == addr {
-                self.last_used[base + w] = self.clock;
+                if self.stamp_hits {
+                    self.stamp[base + w] = self.clock;
+                }
                 return None;
             }
         }
         for w in 0..self.ways {
             if self.tags[base + w] == EMPTY {
                 self.tags[base + w] = addr;
-                self.last_used[base + w] = self.clock;
-                self.filled_at[base + w] = self.clock;
+                self.stamp[base + w] = self.clock;
                 return None;
             }
         }
         let victim = match self.config.replacement() {
-            Replacement::Lru => (0..self.ways)
-                .min_by_key(|w| self.last_used[base + w])
-                .expect("ways >= 1"),
-            Replacement::Fifo => (0..self.ways)
-                .min_by_key(|w| self.filled_at[base + w])
+            Replacement::Lru | Replacement::Fifo => (0..self.ways)
+                .min_by_key(|w| self.stamp[base + w])
                 .expect("ways >= 1"),
             Replacement::Random => {
                 // xorshift64* (same generator as SetAssocCache)
@@ -159,8 +162,7 @@ impl AddrSet {
         self.stats.evictions += 1;
         let old = self.tags[base + victim];
         self.tags[base + victim] = addr;
-        self.last_used[base + victim] = self.clock;
-        self.filled_at[base + victim] = self.clock;
+        self.stamp[base + victim] = self.clock;
         Some(old)
     }
 
@@ -204,26 +206,31 @@ mod tests {
     fn matches_set_assoc_cache_access_for_access() {
         // The architectural contract: identical hit/miss/eviction stats to
         // SetAssocCache with the identity indexer, on an arbitrary
-        // reference stream with reuse and conflicts.
-        let mut a = AddrSet::new(cfg(16, 2));
-        let mut b: SetAssocCache<u64, ()> = SetAssocCache::with_indexer(cfg(16, 2), |k| *k);
-        let mut x: u64 = 12345;
-        for i in 0..10_000u64 {
-            // Mix a hot working set with a sweeping stream.
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let addr = if i % 3 == 0 { i % 24 } else { x % 64 };
-            let ha = a.lookup(addr);
-            let hb = b.lookup(&addr).is_some();
-            assert_eq!(ha, hb, "divergence at access {i} addr {addr}");
-            if !ha {
-                a.fill(addr);
-                b.fill(addr, ());
+        // reference stream with reuse and conflicts, under every
+        // replacement policy.
+        for policy in [Replacement::Lru, Replacement::Fifo, Replacement::Random] {
+            let config = cfg(16, 2).with_replacement(policy).with_seed(7);
+            let mut a = AddrSet::new(config);
+            let mut b: SetAssocCache<u64, ()> = SetAssocCache::with_indexer(config, |k| *k);
+            let mut x: u64 = 12345;
+            for i in 0..10_000u64 {
+                // Mix a hot working set with a sweeping stream.
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let addr = if i % 3 == 0 { i % 24 } else { x % 64 };
+                let ha = a.lookup(addr);
+                let hb = b.lookup(&addr).is_some();
+                assert_eq!(ha, hb, "{policy}: divergence at access {i} addr {addr}");
+                // Occasional refills of resident lines, which LRU counts
+                // as a use and FIFO does not.
+                if !ha || i % 7 == 0 {
+                    assert_eq!(a.fill(addr), b.fill(addr, ()).map(|(k, ())| k));
+                }
             }
+            assert_eq!(a.stats(), b.stats(), "{policy}");
+            assert_eq!(a.len(), b.len(), "{policy}");
         }
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.len(), b.len());
     }
 
     #[test]

@@ -38,7 +38,7 @@ mod trap;
 pub use config::MachineConfig;
 pub use ctxcache::{ContextCache, CtxCacheStats};
 pub use exec::data_op;
-pub use image::{MethodSource, ProgramImage};
+pub use image::{MethodSource, ProgramImage, SharedCode};
 pub use loaded::LoadedImage;
 pub use machine::{DispatchEvent, DispatchObserver, GcTotals, Machine, RunOutcome, RunResult};
 

@@ -54,7 +54,6 @@ pub(crate) struct BootTemplate {
 impl BootTemplate {
     fn build(
         image: &ProgramImage,
-        bodies: &[Option<Arc<DecodedBody>>],
         format: FpaFormat,
         space_log2: u8,
     ) -> Result<BootTemplate, MemError> {
@@ -74,7 +73,7 @@ impl BootTemplate {
             TeamId(0),
             &mut classes,
             image,
-            |i| bodies[i].clone(),
+            |i| image.methods[i].code.body(),
             &mut code_roots,
             |base, abs, body| {
                 let id = u32::try_from(slab.len()).expect("slab outgrew u32");
@@ -125,18 +124,14 @@ pub(crate) fn store_and_install(
     Ok(())
 }
 
-/// An immutable, shareable compiled program: the [`ProgramImage`] plus a
-/// pre-decoded body for every method that can be decoded
-/// position-independently, plus a pre-booted boot template (space with
-/// code stored, installed class table, decoded slab) for the prepared
-/// machine geometry.
+/// An immutable, shareable compiled program: the [`ProgramImage`], whose
+/// methods carry their shared pre-decoded bodies (see
+/// [`SharedCode`](crate::SharedCode)), plus a pre-booted boot template
+/// (space with code stored, installed class table, decoded slab) for the
+/// prepared machine geometry.
 #[derive(Debug)]
 pub struct LoadedImage {
     image: ProgramImage,
-    /// Parallel to `image.methods`: `None` when the method's constants
-    /// need a machine to classify (pointer constants) and the owning
-    /// machine must decode lazily instead.
-    bodies: Vec<Option<Arc<DecodedBody>>>,
     /// Pre-booted state for the prepared geometry (absent only if the
     /// image cannot be stored in a space of that geometry).
     template: Option<BootTemplate>,
@@ -154,18 +149,12 @@ impl LoadedImage {
     /// [`prepare`](Self::prepare) with the template pre-booted for
     /// `config`'s space geometry (sessions booting with a different
     /// geometry still work — they take the store-per-method path).
+    /// Methods whose code is shared with an image prepared before (the
+    /// standard library's, say) reuse that image's decoded bodies; only
+    /// the rest are decoded here.
     pub fn prepare_for(image: ProgramImage, config: &MachineConfig) -> LoadedImage {
-        let bodies: Vec<Option<Arc<DecodedBody>>> = image
-            .methods
-            .iter()
-            .map(|m| DecodedBody::from_code(&m.code).map(Arc::new))
-            .collect();
-        let template = BootTemplate::build(&image, &bodies, config.format, config.space_log2).ok();
-        LoadedImage {
-            image,
-            bodies,
-            template,
-        }
+        let template = BootTemplate::build(&image, config.format, config.space_log2).ok();
+        LoadedImage { image, template }
     }
 
     /// The pre-booted template, when it matches the asked-for geometry.
@@ -188,12 +177,16 @@ impl LoadedImage {
     /// Number of methods with a shared pre-decoded body (the rest decode
     /// lazily, per machine).
     pub fn predecoded(&self) -> usize {
-        self.bodies.iter().filter(|b| b.is_some()).count()
+        self.image
+            .methods
+            .iter()
+            .filter(|m| m.code.body().is_some())
+            .count()
     }
 
     /// The shared body for method `i`, if it decoded position-independently.
     pub(crate) fn body(&self, i: usize) -> Option<Arc<DecodedBody>> {
-        self.bodies.get(i).and_then(|b| b.clone())
+        self.image.methods.get(i).and_then(|m| m.code.body())
     }
 }
 

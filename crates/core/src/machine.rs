@@ -164,7 +164,7 @@ impl LowInstr {
 /// The position-independent payload of a decoded method: the lowered
 /// instruction stream and the pre-classed constant table. Bodies carry no
 /// memory addresses, so one body can back the same method in any number of
-/// machines — [`crate::LoadedImage`] pre-decodes every method once and
+/// machines and images — each [`crate::SharedCode`] decodes once, and
 /// every [`Machine::load_image`] call binds the shared bodies to that
 /// machine's stored code objects without re-decoding.
 #[derive(Debug)]

@@ -23,7 +23,7 @@ pub struct ClassLayout {
 }
 
 /// The analysed program: hierarchy built, layouts computed.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Analysis {
     /// The class table (hierarchy + standard primitives).
     pub classes: ClassTable,
@@ -55,118 +55,127 @@ impl Analysis {
             .get(name)
             .ok_or_else(|| CompileError::sem(format!("unknown class {name}")))
     }
-}
 
-/// Builds the class hierarchy and layouts.
-///
-/// A `class X` with no `extends` clause *extends* an existing class `X`
-/// when one is already defined (used to add methods to `SmallInteger`,
-/// `Float`, `Atom`, `Object`); otherwise it defines a fresh subclass of
-/// `Object`.
-///
-/// # Errors
-///
-/// Returns semantic errors for unknown superclasses, duplicate
-/// definitions with conflicting shapes, or ivar redeclaration.
-pub fn analyze(program: &Program) -> Result<Analysis, CompileError> {
-    let mut classes = ClassTable::new();
-    com_obj::install_standard_primitives(&mut classes);
-    let mut layouts: HashMap<String, ClassLayout> = HashMap::new();
+    /// The predefined classes only: the machine's primitives and
+    /// `Context`, nothing interned.
+    pub fn predefined() -> Analysis {
+        let mut classes = ClassTable::new();
+        com_obj::install_standard_primitives(&mut classes);
+        let mut layouts: HashMap<String, ClassLayout> = HashMap::new();
 
-    // Register the predefined classes so extensions and layouts resolve.
-    for name in [
-        "Object",
-        "UndefinedObject",
-        "SmallInteger",
-        "Float",
-        "Atom",
-        "Instruction",
-    ] {
-        let id = classes.by_name(name).expect("predefined");
+        // Register the predefined classes so extensions and layouts resolve.
+        for name in [
+            "Object",
+            "UndefinedObject",
+            "SmallInteger",
+            "Float",
+            "Atom",
+            "Instruction",
+        ] {
+            let id = classes.by_name(name).expect("predefined");
+            layouts.insert(
+                name.to_string(),
+                ClassLayout {
+                    id,
+                    ivars: HashMap::new(),
+                    total_ivars: 0,
+                },
+            );
+        }
+        // The machine defines Context at load time; give the compiler a view
+        // of it so block home pointers can be reasoned about if needed.
+        let ctx = classes
+            .define("Context", Some(ClassTable::OBJECT), 0)
+            .expect("Context is not predefined");
         layouts.insert(
-            name.to_string(),
+            "Context".into(),
             ClassLayout {
-                id,
+                id: ctx,
                 ivars: HashMap::new(),
                 total_ivars: 0,
             },
         );
+        Analysis {
+            classes,
+            atoms: AtomTable::new(),
+            opcodes: OpcodeTable::new(),
+            layouts,
+        }
     }
-    // The machine defines Context at load time; give the compiler a view
-    // of it so block home pointers can be reasoned about if needed.
-    let ctx = classes
-        .define("Context", Some(ClassTable::OBJECT), 0)
-        .map_err(CompileError::sem)?;
-    layouts.insert(
-        "Context".into(),
-        ClassLayout {
-            id: ctx,
-            ivars: HashMap::new(),
-            total_ivars: 0,
-        },
-    );
 
-    for def in &program.classes {
-        register_class(&mut classes, &mut layouts, def)?;
+    /// Adds one class definition to the hierarchy.
+    ///
+    /// A `class X` with no `extends` clause *extends* an existing class `X`
+    /// when one is already defined (used to add methods to `SmallInteger`,
+    /// `Float`, `Atom`, `Object`); otherwise it defines a fresh subclass of
+    /// `Object`.
+    ///
+    /// # Errors
+    ///
+    /// Returns semantic errors for unknown superclasses, duplicate
+    /// definitions with conflicting shapes, or ivar redeclaration.
+    pub fn register(&mut self, def: &ClassDef) -> Result<(), CompileError> {
+        if def.superclass.is_none() && self.layouts.contains_key(&def.name) {
+            // Extension of an existing class: no new ivars allowed.
+            if !def.ivars.is_empty() {
+                return Err(CompileError::sem(format!(
+                    "extension of {} cannot add instance variables",
+                    def.name
+                )));
+            }
+            return Ok(());
+        }
+        let super_name = def.superclass.as_deref().unwrap_or("Object");
+        let parent = self
+            .layouts
+            .get(super_name)
+            .ok_or_else(|| CompileError::sem(format!("unknown superclass {super_name}")))?
+            .clone();
+        if self.layouts.contains_key(&def.name) && def.superclass.is_some() {
+            return Err(CompileError::sem(format!(
+                "class {} is already defined",
+                def.name
+            )));
+        }
+        let id = self
+            .classes
+            .define(&def.name, Some(parent.id), def.ivars.len() as u16)
+            .map_err(CompileError::sem)?;
+        let mut ivars = parent.ivars.clone();
+        for (i, name) in def.ivars.iter().enumerate() {
+            if ivars
+                .insert(name.clone(), parent.total_ivars + i as u16)
+                .is_some()
+            {
+                return Err(CompileError::sem(format!(
+                    "instance variable {name} shadows an inherited one in {}",
+                    def.name
+                )));
+            }
+        }
+        self.layouts.insert(
+            def.name.clone(),
+            ClassLayout {
+                id,
+                ivars,
+                total_ivars: parent.total_ivars + def.ivars.len() as u16,
+            },
+        );
+        Ok(())
     }
-    Ok(Analysis {
-        classes,
-        atoms: AtomTable::new(),
-        opcodes: OpcodeTable::new(),
-        layouts,
-    })
 }
 
-fn register_class(
-    classes: &mut ClassTable,
-    layouts: &mut HashMap<String, ClassLayout>,
-    def: &ClassDef,
-) -> Result<(), CompileError> {
-    if def.superclass.is_none() && layouts.contains_key(&def.name) {
-        // Extension of an existing class: no new ivars allowed.
-        if !def.ivars.is_empty() {
-            return Err(CompileError::sem(format!(
-                "extension of {} cannot add instance variables",
-                def.name
-            )));
-        }
-        return Ok(());
+/// Builds the class hierarchy and layouts of `program`.
+///
+/// # Errors
+///
+/// See [`Analysis::register`].
+pub fn analyze(program: &Program) -> Result<Analysis, CompileError> {
+    let mut analysis = Analysis::predefined();
+    for def in &program.classes {
+        analysis.register(def)?;
     }
-    let super_name = def.superclass.as_deref().unwrap_or("Object");
-    let parent = layouts
-        .get(super_name)
-        .ok_or_else(|| CompileError::sem(format!("unknown superclass {super_name}")))?
-        .clone();
-    if layouts.contains_key(&def.name) && def.superclass.is_some() {
-        return Err(CompileError::sem(format!(
-            "class {} is already defined",
-            def.name
-        )));
-    }
-    let id = classes
-        .define(&def.name, Some(parent.id), def.ivars.len() as u16)
-        .map_err(CompileError::sem)?;
-    let mut ivars = parent.ivars.clone();
-    for (i, name) in def.ivars.iter().enumerate() {
-        if ivars
-            .insert(name.clone(), parent.total_ivars + i as u16)
-            .is_some()
-        {
-            return Err(CompileError::sem(format!(
-                "instance variable {name} shadows an inherited one in {}",
-                def.name
-            )));
-        }
-    }
-    layouts.insert(
-        def.name.clone(),
-        ClassLayout {
-            id,
-            ivars,
-            total_ivars: parent.total_ivars + def.ivars.len() as u16,
-        },
-    );
-    Ok(())
+    Ok(analysis)
 }
 
 #[cfg(test)]

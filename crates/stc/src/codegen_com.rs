@@ -7,12 +7,12 @@
 
 use std::collections::HashMap;
 
-use com_core::ProgramImage;
+use com_core::{MethodSource, ProgramImage, SharedCode};
 use com_isa::{Assembler, Instr, Opcode, Operand};
 use com_mem::{AtomId, ClassId, Word};
 
 use crate::analysis::{analyze, Analysis};
-use crate::ast::{Block, Expr, MethodDef, Program, Stmt};
+use crate::ast::{Block, ClassDef, Expr, MethodDef, Program, Stmt};
 use crate::{CompileError, CompileOptions};
 
 /// Operand slots available to a method (32-word context minus 2 linkage).
@@ -29,40 +29,56 @@ pub fn compile_com_program(
     options: CompileOptions,
 ) -> Result<ProgramImage, CompileError> {
     let mut analysis = analyze(program)?;
-    let mut methods = Vec::new();
-    let mut block_counter = 0usize;
+    let methods = generate(&mut analysis, &program.classes, options, &mut 0)?;
+    Ok(image(analysis, methods))
+}
 
-    for class in &program.classes {
+/// Generates the methods of `classes`, in order, against `analysis`
+/// (which has every class of the program registered). Each block hoisted
+/// into its own class (only when control flow is not inlined) bumps
+/// `block_counter` and defines that class in `analysis`.
+pub(crate) fn generate(
+    analysis: &mut Analysis,
+    classes: &[ClassDef],
+    options: CompileOptions,
+    block_counter: &mut usize,
+) -> Result<Vec<MethodSource>, CompileError> {
+    let mut methods = Vec::new();
+    for class in classes {
         let class_id = analysis.layout(&class.name)?.id;
         for m in &class.methods {
             let mut pending = vec![(class.name.clone(), class_id, m.clone(), None)];
             while let Some((cls_name, cls_id, method, outer)) = pending.pop() {
-                let sel = analysis.selector(&method.selector);
+                let selector = analysis.selector(&method.selector);
                 let mut g = MethodGen::new(
-                    &mut analysis,
+                    analysis,
                     options,
                     cls_name.clone(),
                     &method,
                     outer,
-                    &mut block_counter,
+                    block_counter,
                 )?;
                 let code = g.run(&method)?;
-                for extra in g.blocks_out {
-                    pending.push(extra);
-                }
-                methods.push((cls_id, sel, code));
+                pending.extend(g.blocks_out);
+                methods.push(MethodSource {
+                    class: cls_id,
+                    selector,
+                    code: SharedCode::new(code),
+                });
             }
         }
     }
+    Ok(methods)
+}
 
-    let mut image = ProgramImage::empty();
-    image.classes = analysis.classes;
-    image.atoms = analysis.atoms;
-    image.opcodes = analysis.opcodes;
-    for (class, sel, code) in methods {
-        image.add_method(class, sel, code);
+/// The image of an analysed, generated program.
+pub(crate) fn image(analysis: Analysis, methods: Vec<MethodSource>) -> ProgramImage {
+    ProgramImage {
+        classes: analysis.classes,
+        atoms: analysis.atoms,
+        opcodes: analysis.opcodes,
+        methods,
     }
-    Ok(image)
 }
 
 /// How a name resolves inside the method being compiled.

@@ -11,8 +11,8 @@ use com_fith::{FithImage, FithInstr, FithMethod};
 use com_isa::Opcode;
 use com_mem::{AtomId, Word};
 
-use crate::analysis::{analyze, Analysis};
-use crate::ast::{Block, Expr, MethodDef, Program, Stmt};
+use crate::analysis::Analysis;
+use crate::ast::{Block, ClassDef, Expr, MethodDef, Program, Stmt};
 use crate::CompileError;
 
 /// Compiles a program into a Fith image.
@@ -22,9 +22,18 @@ use crate::CompileError;
 /// Returns semantic errors; block literals outside inlinable control flow
 /// are unsupported on the stack backend.
 pub fn compile_fith_program(program: &Program) -> Result<FithImage, CompileError> {
-    let mut analysis = analyze(program)?;
+    compile_fith_classes(&program.classes.iter().collect::<Vec<_>>())
+}
+
+/// [`compile_fith_program`] over a program given as its classes in
+/// source order.
+pub(crate) fn compile_fith_classes(classes: &[&ClassDef]) -> Result<FithImage, CompileError> {
+    let mut analysis = Analysis::predefined();
+    for def in classes {
+        analysis.register(def)?;
+    }
     let mut out = Vec::new();
-    for class in &program.classes {
+    for class in classes {
         let class_id = analysis.layout(&class.name)?.id;
         for m in &class.methods {
             let sel = analysis.selector(&m.selector);

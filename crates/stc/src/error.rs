@@ -1,18 +1,22 @@
 //! Compiler errors.
 
 /// A compilation error with position information where available.
+///
+/// Positions are byte offsets from the start of the text the caller
+/// passed in; the standard library compiled in ahead of it is not
+/// counted.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CompileError {
     /// Lexical error.
     Lex {
-        /// Byte offset in the source.
+        /// Byte offset in the caller's source.
         at: usize,
         /// What went wrong.
         message: String,
     },
     /// Syntax error.
     Parse {
-        /// Byte offset in the source.
+        /// Byte offset in the caller's source.
         at: usize,
         /// What went wrong.
         message: String,

@@ -24,7 +24,11 @@
 //! [`compile_com`] / [`compile_fith`] prepend the standard library
 //! ([`stdlib::PRELUDE`]): Array, OrderedCollection, sorting, numeric
 //! helpers — the "toolkits" of reusable late-bound code the paper's
-//! introduction celebrates.
+//! introduction celebrates. The prelude is compiled once per process per
+//! [`CompileOptions::inline_control_flow`] value: each call compiles only
+//! the caller's classes, and every image shares the prelude's code
+//! objects (and so their decoded bodies). The image is the one a single
+//! pass over the prelude-prefixed text gives.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -44,6 +48,7 @@ pub use error::CompileError;
 pub use lex::{lex, Token};
 pub use parse::parse;
 
+use codegen_fith::compile_fith_classes;
 use com_core::ProgramImage;
 use com_fith::FithImage;
 
@@ -71,31 +76,70 @@ impl Default for CompileOptions {
 
 /// Compiles source text to a COM program image.
 ///
+/// With the standard library, the prelude is compiled once per process
+/// (per [`CompileOptions::inline_control_flow`] value) and every image
+/// shares its code objects; only the caller's classes are compiled per
+/// call. The image is the one compiling `PRELUDE`, a newline and
+/// `source` as one text would give.
+///
 /// # Errors
 ///
-/// Returns [`CompileError`] for lexical, syntactic or semantic errors.
+/// Returns [`CompileError`] for lexical, syntactic or semantic errors;
+/// positions count from the start of `source`.
 pub fn compile_com(source: &str, options: CompileOptions) -> Result<ProgramImage, CompileError> {
-    let full = if options.with_stdlib {
-        format!("{}\n{}", stdlib::PRELUDE, source)
+    let program = parse(source)?;
+    if options.with_stdlib {
+        stdlib::Unit::get(options).compile_com(&program, options)
     } else {
-        source.to_string()
-    };
-    let program = parse(&full)?;
-    compile_com_program(&program, options)
+        compile_com_program(&program, options)
+    }
 }
 
 /// Compiles source text to a Fith (stack machine) image.
 ///
 /// # Errors
 ///
-/// Returns [`CompileError`]; real (non-inlinable) blocks are not supported
-/// by the stack backend and are reported as errors.
+/// Returns [`CompileError`] (positions count from the start of `source`);
+/// real (non-inlinable) blocks are not supported by the stack backend and
+/// are reported as errors.
 pub fn compile_fith(source: &str, options: CompileOptions) -> Result<FithImage, CompileError> {
-    let full = if options.with_stdlib {
-        format!("{}\n{}", stdlib::PRELUDE, source)
+    let program = parse(source)?;
+    let prelude = if options.with_stdlib {
+        &stdlib::parsed().classes[..]
     } else {
-        source.to_string()
+        &[]
     };
-    let program = parse(&full)?;
-    compile_fith_program(&program)
+    compile_fith_classes(&prelude.iter().chain(&program.classes).collect::<Vec<_>>())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn error_positions_count_from_the_start_of_the_callers_source() {
+        // `class` is expected where `42` stands.
+        let src = "class Foo extends Object end\n42 end";
+        let at = src.find("42").unwrap();
+        for with_stdlib in [true, false] {
+            let opts = CompileOptions {
+                with_stdlib,
+                ..CompileOptions::default()
+            };
+            assert!(matches!(
+                compile_com(src, opts),
+                Err(CompileError::Parse { at: a, .. }) if a == at
+            ));
+            assert!(matches!(
+                compile_fith(src, opts),
+                Err(CompileError::Parse { at: a, .. }) if a == at
+            ));
+        }
+        let src = "class Foo $ end";
+        let at = src.find('$').unwrap();
+        assert!(matches!(
+            compile_com(src, CompileOptions::default()),
+            Err(CompileError::Lex { at: a, .. }) if a == at
+        ));
+    }
 }

@@ -94,7 +94,7 @@ fn thousands_of_bitflipped_images_never_panic_the_interpreter() {
                 // The verifier admitted the mutant: it must run — to a
                 // result or a *typed* trap — without panicking.
                 let mut mutant = image.clone();
-                mutant.methods[mi].code.instrs = words
+                mutant.methods[mi].code.make_mut().instrs = words
                     .iter()
                     .map(|w| Instr::decode(*w).expect("verified words decode"))
                     .collect();

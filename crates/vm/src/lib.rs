@@ -145,11 +145,10 @@ impl VmBuilder {
     }
 
     /// Appends source text (classes may be reopened across chunks; the
-    /// standard library is prepended once at compile time). Compile
-    /// errors report positions in the joined text — the same coordinate
-    /// space `compile_com` already uses for its stdlib-prepended input —
+    /// standard library is compiled in ahead of them). Compile errors
+    /// report byte positions in the chunks joined with one newline each,
     /// so a position from a later chunk is offset by the chunks before
-    /// it.
+    /// it (plus one byte per join).
     pub fn source(mut self, text: &str) -> VmBuilder {
         self.sources.push(text.to_string());
         self
